@@ -235,13 +235,12 @@ class ClocktreeRLCExtractor:
         if length <= 0.0:
             raise GeometryError("length must be positive")
         width = signal_width if signal_width is not None else self.config.signal_width
-        with span("htree.segment_rlc", length=length):
-            return SegmentRLC(
-                length=length,
-                resistance=self._segment_resistance(width, length),
-                inductance=self._segment_inductance(width, length),
-                capacitance=self._segment_capacitance(width, length),
-            )
+        return SegmentRLC(
+            length=length,
+            resistance=self._segment_resistance(width, length),
+            inductance=self._segment_inductance(width, length),
+            capacitance=self._segment_capacitance(width, length),
+        )
 
     def segment_rlc_for(self, segment: HTreeSegment) -> SegmentRLC:
         """Extraction hook for one routed segment.

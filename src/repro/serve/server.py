@@ -45,7 +45,7 @@ import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 from repro.errors import ReproError, ServeError
@@ -74,6 +74,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ExtractionServer"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every connection: a response stdlib writes in
+    # several sends (``send_error``) can never stall on Nagle either.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # plumbing
@@ -125,28 +128,32 @@ class _Handler(BaseHTTPRequestHandler):
             "http", message=format % args, client=self.address_string(),
         )
 
-    def _send_json(self, status: int, obj: dict) -> None:
-        body = json.dumps(obj, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        rid = getattr(self, "_request_id", None)
-        if rid:
-            self.send_header("X-Request-Id", rid)
-        self.end_headers()
-        self.wfile.write(body)
+    def _send(self, status: int, payload: Union[dict, str],
+              content_type: str = "application/json") -> None:
+        """Write one response -- status line, headers, body -- in one send.
 
-    def _send_text(self, status: int, text: str,
-                   content_type: str = "text/plain; charset=utf-8") -> None:
-        body = text.encode("utf-8")
+        A dict *payload* is serialized as JSON, a string is sent as is.
+
+        ``end_headers()`` would flush the headers as a send of their
+        own; on a keep-alive socket Nagle's algorithm then holds the
+        body until the client's delayed ACK (~40 ms) arrives.  The blank
+        line and the body go into the header buffer instead, and
+        ``flush_headers()`` writes it all with one ``wfile.write``.
+        """
+        if isinstance(payload, dict):
+            payload = json.dumps(payload, sort_keys=True)
+        body = payload.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         rid = getattr(self, "_request_id", None)
         if rid:
             self.send_header("X-Request-Id", rid)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(body)
+        else:
+            self._headers_buffer.append(b"\r\n" + body)
+            self.flush_headers()
 
     def _read_body(self) -> dict:
         length = self.headers.get("Content-Length")
@@ -179,18 +186,17 @@ class _Handler(BaseHTTPRequestHandler):
         with correlation_scope(request_id=rid):
             try:
                 if path == "/healthz":
-                    self._send_json(200, service.health())
+                    self._send(200, service.health())
                 elif path == "/metrics":
-                    self._send_text(200, service.metrics_text())
+                    self._send(200, service.metrics_text(),
+                               "text/plain; charset=utf-8")
                 elif path == "/statusz":
-                    self._send_text(
-                        200, service.statusz_html(),
-                        "text/html; charset=utf-8",
-                    )
+                    self._send(200, service.statusz_html(),
+                               "text/html; charset=utf-8")
                 elif path == "/debug/requests":
-                    self._send_json(200, service.requests.to_dict())
+                    self._send(200, service.requests.to_dict())
                 else:
-                    self._send_json(
+                    self._send(
                         404,
                         {"error": f"no such path {self.path!r}",
                          "request_id": rid},
@@ -199,7 +205,7 @@ class _Handler(BaseHTTPRequestHandler):
                 pass
             except Exception as exc:  # pragma: no cover - defensive
                 log.exception("GET %s failed", self.path)
-                self._send_json(
+                self._send(
                     500,
                     {"error": f"internal error: {exc}", "request_id": rid},
                 )
@@ -215,7 +221,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if not admission.admitted:
                     self._access["reason"] = admission.reason
                     service.observe_rejection(endpoint)
-                    self._send_json(
+                    self._send(
                         admission.status,
                         {"error": admission.reason, "retry": True,
                          "request_id": rid},
@@ -227,18 +233,18 @@ class _Handler(BaseHTTPRequestHandler):
                 cache = envelope.get("cache")
                 if isinstance(cache, dict) and "hit" in cache:
                     self._access["cache_hit"] = bool(cache["hit"])
-                self._send_json(200, envelope)
+                self._send(200, envelope)
             except BrokenPipeError:
                 pass
             except ServeError as exc:
-                self._send_json(
+                self._send(
                     exc.status, {"error": str(exc), "request_id": rid}
                 )
             except ReproError as exc:
-                self._send_json(400, {"error": str(exc), "request_id": rid})
+                self._send(400, {"error": str(exc), "request_id": rid})
             except Exception as exc:  # pragma: no cover - defensive
                 log.exception("POST %s failed", self.path)
-                self._send_json(
+                self._send(
                     500,
                     {"error": f"internal error: {exc}", "request_id": rid},
                 )

@@ -2,9 +2,14 @@
 
 The mutual-inductance table has four dimensions (two widths, spacing,
 length); the bicubic spline of Numerical Recipes generalizes to N
-dimensions by applying the successive-1-D construction recursively, which
-is what :class:`TensorSplineInterpolator` does.  Axes with fewer than
-three knots automatically fall back to linear interpolation.
+dimensions by the same successive-1-D construction, which is what
+:class:`TensorSplineInterpolator` does.  As in NR ``splie2``, the
+second derivatives of every row along the innermost axis are computed
+once, at construction; a query evaluates all those rows at its last
+coordinate in one vectorized step, then reduces the outer axes one at a
+time with splines solved per query (NR ``splin2``, generalized to N-D).
+Axes with fewer than three knots automatically fall back to linear
+interpolation.
 """
 
 from __future__ import annotations
@@ -16,17 +21,25 @@ import numpy as np
 
 from repro.errors import ExtrapolationWarning, TableError
 from repro.quality.coverage import POINT_EXTRAPOLATED, classify_point, record_lookup
-from repro.tables.spline import CubicSpline1D
+from repro.tables.spline import CubicSpline1D, splint
 
 
-def _interp_1d(x: np.ndarray, y: np.ndarray, q: float) -> float:
-    """Cubic spline when enough knots, linear otherwise."""
-    if x.size >= 3:
-        return float(CubicSpline1D(x, y)(q))
+def _second_derivatives(x: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
+    """Spline second derivatives of every row of *y* along its last axis
+    (None for the linear fallback of axes with fewer than three knots)."""
+    return CubicSpline1D._second_derivatives(x, y) if x.size >= 3 else None
+
+
+def _reduce_last(x: np.ndarray, y: np.ndarray, y2: Optional[np.ndarray],
+                 q: float) -> np.ndarray:
+    """Interpolate every row of *y* at *q* along its last axis: cubic
+    spline when enough knots, linear otherwise."""
+    if y2 is not None:
+        return splint(x, y, y2, np.atleast_1d(np.asarray(q, dtype=float)))[..., 0]
     if x.size == 2:
         t = (q - x[0]) / (x[1] - x[0])
-        return float((1.0 - t) * y[0] + t * y[1])
-    return float(y[0])
+        return (1.0 - t) * y[..., 0] + t * y[..., 1]
+    return y[..., 0]
 
 
 class TensorSplineInterpolator:
@@ -86,6 +99,7 @@ class TensorSplineInterpolator:
         ) if axis_names is not None else tuple(
             f"axis{i}" for i in range(len(self.axes))
         )
+        self._inner_y2 = _second_derivatives(self.axes[-1], self.values)
 
     @property
     def ndim(self) -> int:
@@ -133,16 +147,12 @@ class TensorSplineInterpolator:
                 ExtrapolationWarning,
                 stacklevel=2,
             )
-        return self._evaluate(self.values, 0, point)
-
-    def _evaluate(self, values: np.ndarray, depth: int, point: Sequence[float]) -> float:
-        axis = self.axes[depth]
-        if depth == self.ndim - 1:
-            return _interp_1d(axis, values, point[depth])
-        reduced = np.array(
-            [
-                self._evaluate(values[i], depth + 1, point)
-                for i in range(axis.size)
-            ]
+        reduced = _reduce_last(
+            self.axes[-1], self.values, self._inner_y2, point[-1]
         )
-        return _interp_1d(axis, reduced, point[depth])
+        for depth in range(self.ndim - 2, -1, -1):
+            axis = self.axes[depth]
+            reduced = _reduce_last(
+                axis, reduced, _second_derivatives(axis, reduced), point[depth]
+            )
+        return float(reduced)

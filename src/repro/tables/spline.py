@@ -15,6 +15,30 @@ import numpy as np
 from repro.errors import TableError
 
 
+def splint(x: np.ndarray, y: np.ndarray, y2: np.ndarray,
+           xq: np.ndarray) -> np.ndarray:
+    """Evaluate natural splines at the 1-D query array *xq* (NR ``splint``).
+
+    *y* and *y2* are knot values and second derivatives of one spline
+    ``(n,)`` or of a batch ``(..., n)`` sharing the knots *x*; the result
+    is ``(m,)`` or ``(..., m)``.  The interval terms (``a``, ``b``,
+    ``h``) depend on the query alone and are computed once for every
+    row.  Outside the knot range the edge interval's cubic is used.
+    """
+    # locate intervals; clip so extrapolation reuses the edge cubics
+    hi = np.clip(np.searchsorted(x, xq), 1, x.size - 1)
+    lo = hi - 1
+    h = x[hi] - x[lo]
+    a = (x[hi] - xq) / h
+    b = (xq - x[lo]) / h
+    return (
+        a * y[..., lo]
+        + b * y[..., hi]
+        + ((a ** 3 - a) * y2[..., lo] + (b ** 3 - b) * y2[..., hi])
+        * (h ** 2) / 6.0
+    )
+
+
 class CubicSpline1D:
     """Natural cubic spline through ``(x, y)`` knots.
 
@@ -38,42 +62,38 @@ class CubicSpline1D:
 
     @staticmethod
     def _second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Tridiagonal solve for natural-spline second derivatives."""
+        """Tridiagonal solve for natural-spline second derivatives.
+
+        *y* holds the knot values of one spline ``(n,)`` or of a batch
+        of splines sharing the knots *x* ``(rows, n)``; the recurrence
+        runs across every row at once (NR ``splie2``) and the result has
+        the shape of *y*.
+        """
         n = x.size
-        y2 = np.zeros(n)
+        y2 = np.zeros(y.shape)
         if n == 2:
             return y2  # natural spline through two points is a line
-        u = np.zeros(n)
+        u = np.zeros(y.shape)
         for i in range(1, n - 1):
             sig = (x[i] - x[i - 1]) / (x[i + 1] - x[i - 1])
-            p = sig * y2[i - 1] + 2.0
-            y2[i] = (sig - 1.0) / p
-            u[i] = (
-                (y[i + 1] - y[i]) / (x[i + 1] - x[i])
-                - (y[i] - y[i - 1]) / (x[i] - x[i - 1])
+            p = sig * y2[..., i - 1] + 2.0
+            y2[..., i] = (sig - 1.0) / p
+            u[..., i] = (
+                (y[..., i + 1] - y[..., i]) / (x[i + 1] - x[i])
+                - (y[..., i] - y[..., i - 1]) / (x[i] - x[i - 1])
             )
-            u[i] = (6.0 * u[i] / (x[i + 1] - x[i - 1]) - sig * u[i - 1]) / p
+            u[..., i] = (
+                6.0 * u[..., i] / (x[i + 1] - x[i - 1]) - sig * u[..., i - 1]
+            ) / p
         for k in range(n - 2, -1, -1):
-            y2[k] = y2[k] * y2[k + 1] + u[k]
+            y2[..., k] = y2[..., k] * y2[..., k + 1] + u[..., k]
         return y2
 
     def __call__(self, x_query):
         """Evaluate the spline (scalar or array input)."""
         xq = np.asarray(x_query, dtype=float)
         scalar = xq.ndim == 0
-        xq = np.atleast_1d(xq)
-        # locate intervals; clip so extrapolation reuses the edge cubics
-        hi = np.clip(np.searchsorted(self.x, xq), 1, self.x.size - 1)
-        lo = hi - 1
-        h = self.x[hi] - self.x[lo]
-        a = (self.x[hi] - xq) / h
-        b = (xq - self.x[lo]) / h
-        result = (
-            a * self.y[lo]
-            + b * self.y[hi]
-            + ((a ** 3 - a) * self.y2[lo] + (b ** 3 - b) * self.y2[hi])
-            * (h ** 2) / 6.0
-        )
+        result = splint(self.x, self.y, self.y2, np.atleast_1d(xq))
         return float(result[0]) if scalar else result
 
     def in_range(self, x_query: float) -> bool:

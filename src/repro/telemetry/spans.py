@@ -7,10 +7,14 @@ Hoer-Love pair evaluations it performed, and a ``library.job`` span
 carries its solver-call totals.  Spans nest: entering a span inside
 another makes it a child, producing an in-memory trace tree::
 
-    with span("htree.extract", segments=len(htree.segments)):
-        for seg in htree.segments:
-            with span("clocktree.segment", name=seg.name, length=seg.length):
-                ...
+    with span("serve.extract"):
+        with span("htree.build_netlist", segments=len(htree.segments)):
+            ...
+        with span("netlist.lint", elements=len(circuit.elements)):
+            ...
+
+Spans mark coarse boundaries (one per stage, never one per segment or
+per lookup): each one snapshots every counter twice.
 
 Design points:
 
@@ -38,8 +42,9 @@ import itertools
 import json
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.telemetry.logs import current_correlation
 from repro.telemetry.registry import MetricsRegistry, get_registry
@@ -118,12 +123,22 @@ class Tracer:
     ):
         self._registry = registry
         self.enabled = enabled
-        self.max_roots = max_roots
-        self.roots: List[Span] = []
+        self._roots: Deque[Span] = deque(maxlen=max_roots)
         #: Root spans discarded because the retention bound was hit.
         self.dropped = 0
         self._lock = threading.Lock()
         self._local = threading.local()
+
+    @property
+    def max_roots(self) -> int:
+        """Retention bound on completed root spans."""
+        return self._roots.maxlen
+
+    @property
+    def roots(self) -> List[Span]:
+        """The retained completed root spans, oldest first (a copy)."""
+        with self._lock:
+            return list(self._roots)
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -182,22 +197,22 @@ class Tracer:
                 stack[-1].children.append(sp)
             else:
                 with self._lock:
-                    self.roots.append(sp)
-                    while len(self.roots) > self.max_roots:
-                        self.roots.pop(0)
-                        self.dropped += 1
+                    if len(self._roots) == self._roots.maxlen:
+                        self.dropped += 1  # the append evicts the oldest
+                    self._roots.append(sp)
 
     # ------------------------------------------------------------------
     def drain(self) -> List[Span]:
         """Return and clear every completed root span."""
         with self._lock:
-            roots, self.roots = self.roots, []
+            roots = list(self._roots)
+            self._roots.clear()
         return roots
 
     def reset(self) -> None:
         """Drop completed roots and the dropped-span counter."""
         with self._lock:
-            self.roots = []
+            self._roots.clear()
             self.dropped = 0
 
     def clear_stack(self) -> None:

@@ -171,6 +171,26 @@ class TestRequestCorrelation:
         assert records[-1]["level"] == "info"
 
 
+class TestSpanGranularity:
+    def test_extract_span_count_does_not_grow_with_segments(self, service):
+        """Spans sit at coarse boundaries: a level-4 tree (60 segments)
+        records exactly the spans of a level-1 tree (4 segments)."""
+
+        def count(node):
+            return 1 + sum(count(child) for child in node.children)
+
+        counts = {}
+        for levels in (1, 4):
+            get_tracer().reset()
+            service.handle("extract", {"root_length_um": 6000.0,
+                                       "levels": levels})
+            roots = [r for r in get_tracer().drain()
+                     if r.name == "serve.extract"]
+            assert len(roots) == 1
+            counts[levels] = count(roots[0])
+        assert counts[4] == counts[1], counts
+
+
 class TestAccessLog:
     def test_every_request_leaves_exactly_one_json_line(self, server):
         stream = io.StringIO()

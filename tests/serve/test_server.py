@@ -6,9 +6,13 @@ cache with **zero** field/loop-solver invocations, proven via
 ``solver_call_count``.
 """
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -142,6 +146,35 @@ class TestCacheEconomics:
             1 for _, env in results if not env["cache"]["hit"]
         ) - service.coalescer.coalesced
         assert computed == 1
+
+
+class TestKeepAlive:
+    def test_persistent_connection_round_trips_do_not_stall(self, server):
+        """Each response leaves in one send: with headers and body in
+        two, Nagle holds the body for the client's delayed ACK and every
+        keep-alive round trip costs ~40 ms."""
+        url = urllib.parse.urlsplit(server.url)
+        body = json.dumps({"root_length_um": 3000.0, "levels": 2})
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.request("POST", "/extract", body)  # warm the result cache
+            conn.getresponse().read()
+            latencies = []
+            for i in range(20):
+                t0 = time.perf_counter()
+                if i % 2:
+                    conn.request("POST", "/extract", body)
+                else:
+                    conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                latencies.append(time.perf_counter() - t0)
+                assert response.status == 200
+                if i % 2:
+                    assert payload["cache"]["hit"] is True
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.010, latencies
 
 
 class TestBackpressure:

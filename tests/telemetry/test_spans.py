@@ -124,6 +124,22 @@ class TestRetention:
         tracer.reset()
         assert tracer.roots == [] and tracer.dropped == 0
 
+    def test_dropped_counts_evictions_at_the_default_bound(self):
+        tracer = Tracer(registry=MetricsRegistry())
+        assert tracer.max_roots == Tracer.DEFAULT_MAX_ROOTS == 4096
+        for i in range(tracer.max_roots):
+            with tracer.span(f"s{i}"):
+                pass
+        assert tracer.dropped == 0
+        for i in range(tracer.max_roots, tracer.max_roots + 3):
+            with tracer.span(f"s{i}"):
+                pass
+        assert tracer.dropped == 3
+        roots = tracer.drain()
+        assert isinstance(roots, list) and len(roots) == tracer.max_roots
+        assert roots[0].name == "s3" and roots[-1].name == "s4098"
+        assert tracer.drain() == [] and tracer.dropped == 3
+
     def test_clear_stack_drops_inherited_open_spans(self, tracer):
         # Simulate a fork taken inside an open span: the child starts
         # with a non-empty stack it can never close.
