@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Union
 
 import numpy as np
+from scipy import sparse
 
-from repro.circuit.backend import factorize, resolve_method, system_matrices
+from repro.circuit.backend import factorize
 from repro.circuit.netlist import AssembledCircuit, Circuit
 from repro.errors import CircuitError, SolverError
 
@@ -42,31 +43,30 @@ class ACResult:
 def ac_analysis(
     circuit: Union[Circuit, AssembledCircuit],
     frequencies: Sequence[float],
-    solver: str = "auto",
 ) -> ACResult:
-    """Frequency sweep with the registered AC source magnitudes.
-
-    *solver* picks the per-frequency factorization backend (``"auto"`` /
-    ``"dense"`` / ``"sparse"``).
-    """
+    """Frequency sweep with the registered AC source magnitudes."""
     assembled = circuit.assemble() if isinstance(circuit, Circuit) else circuit
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
         raise CircuitError("frequencies must be a non-empty 1-D sequence")
     if np.any(freqs < 0.0):
         raise CircuitError("frequencies must be non-negative")
-    method = resolve_method(
-        assembled.size, nnz=assembled.stamps.nnz, solver=solver
-    )
-    g, c = system_matrices(assembled.stamps, method)
-    b = assembled.stamps.ac_source_vector()
+    stamps = assembled.stamps
+    b = stamps.ac_source_vector()
     if not np.any(b):
         raise CircuitError("no AC sources: set ac_magnitude on a source")
 
+    # G + jC holds G in the real and C in the imaginary part of one
+    # pattern, so each frequency only rescales values (no sparse add).
+    pattern = (stamps.g_csc() + 1j * stamps.c_csc()).tocsc()
+    g, c = pattern.data.real, pattern.data.imag
     solutions = np.empty((freqs.size, assembled.size), dtype=complex)
     for k, f in enumerate(freqs):
         omega = 2.0 * np.pi * f
-        system = g + 1j * omega * c
+        system = sparse.csc_matrix(
+            (g + 1j * omega * c, pattern.indices, pattern.indptr),
+            shape=pattern.shape,
+        )
         try:
             solutions[k] = factorize(system).solve(b)
         except SolverError as exc:

@@ -1,151 +1,35 @@
-"""Shared dense/sparse factorization backend for the MNA analyses.
+"""Sparse factorization backend for the MNA analyses.
 
 Every analysis (``dc``, ``ac``, ``moments``, fixed-dt ``transient`` and
 the diagnostics half-step LTE probe) reduces to "factor one system
-matrix once, then solve it against one or many right-hand sides".  This
-module is the single place that choice of representation lives:
-
-* :class:`DenseFactorization` wraps :func:`scipy.linalg.lu_factor` /
-  ``lu_solve`` -- the historical path, bit-compatible with the seed
-  behaviour and the right call below a few thousand unknowns where
-  LAPACK's cache-friendly dense kernels win.
-* :class:`SparseFactorization` wraps
-  :func:`scipy.sparse.linalg.splu` on a CSC matrix -- the chip-scale
-  path: an MNA matrix of an extracted clocktree holds a handful of
-  entries per row, so a 10^5-unknown netlist factorizes in memory a
-  dense matrix could not even allocate (10^5 squared doubles is 80 GB).
-
-Both expose ``solve`` (vector or ``(n, k)`` stack) and ``solve_many``
-(explicit multi-RHS), so callers factor once and stream right-hand
-sides.  :func:`resolve_method` turns the user-facing
-``solver="auto" | "dense" | "sparse"`` override into a concrete method
-from the matrix size and (optionally) its structural density; ``auto``
-keeps every small fixture on the dense path so existing numbers do not
-move, and flips to sparse where dense stops being feasible.
+matrix once, then solve it against one or many right-hand sides".  All
+of them factor the CSC ``G`` / ``C`` pair that
+:class:`~repro.circuit.elements.Stamps` assembles with
+:func:`scipy.sparse.linalg.splu`.  An MNA matrix of an extracted
+clocktree holds a handful of entries per row, so one path serves every
+size: a 10^5-unknown netlist factorizes in memory a dense matrix could
+not even allocate (10^5 squared doubles is 80 GB), and on paper-scale
+H-trees (80-400 unknowns) ``splu`` beats dense LAPACK LU as well.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional, Union
-
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
-from repro.errors import CircuitError, SolverError
-from repro.telemetry.registry import (
-    SOLVER_FACTOR_DENSE,
-    SOLVER_FACTOR_SPARSE,
-    get_registry,
-)
+from repro.errors import SolverError
+from repro.telemetry.registry import SOLVER_FACTOR_SPARSE, get_registry
 
 __all__ = [
-    "SOLVER_METHODS",
-    "DENSE_SIZE_CUTOFF",
-    "SPARSE_DENSITY_CUTOFF",
-    "validate_solver",
-    "resolve_method",
     "factorize",
-    "DenseFactorization",
     "SparseFactorization",
-    "system_matrices",
     "gmin_loaded",
 ]
-
-#: Accepted values of the user-facing ``solver=`` override.
-SOLVER_METHODS = ("auto", "dense", "sparse")
-
-#: ``auto`` stays dense up to this many MNA unknowns.  Every tier-1
-#: fixture sits far below it (the largest is a few hundred unknowns),
-#: so the automatic choice cannot move any seed number; the measured
-#: dense/sparse wall-time crossover on extracted clocktree netlists sits
-#: near 1-2k unknowns (see BENCH_transient.json).
-DENSE_SIZE_CUTOFF = 1500
-
-#: Above the size cutoff, a matrix this structurally dense is factored
-#: dense anyway (fill-in would make splu pay twice) -- MNA matrices of
-#: extracted netlists never get anywhere near it; this guards
-#: pathological hand-built circuits.
-SPARSE_DENSITY_CUTOFF = 0.25
-
-
-def validate_solver(solver: str) -> None:
-    """Raise :class:`CircuitError` unless *solver* is a known method."""
-    if solver not in SOLVER_METHODS:
-        raise CircuitError(
-            f"unknown solver {solver!r}; expected one of {SOLVER_METHODS}"
-        )
-
-
-def resolve_method(
-    size: int, nnz: Optional[int] = None, solver: str = "auto"
-) -> str:
-    """Concrete ``"dense"`` / ``"sparse"`` choice for one system.
-
-    Parameters
-    ----------
-    size:
-        Number of MNA unknowns.
-    nnz:
-        Structural non-zeros of the combined G/C pattern (optional;
-        refines the choice near the cutoff).
-    solver:
-        The user override: ``"dense"`` / ``"sparse"`` force the choice,
-        ``"auto"`` (default) picks by size and density.
-    """
-    validate_solver(solver)
-    if solver != "auto":
-        return solver
-    if size <= DENSE_SIZE_CUTOFF:
-        return "dense"
-    if nnz is not None and nnz / (size * size) > SPARSE_DENSITY_CUTOFF:
-        return "dense"
-    return "sparse"
-
-
-class DenseFactorization:
-    """Factor-once dense LU (:func:`scipy.linalg.lu_factor`)."""
-
-    method = "dense"
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise SolverError(f"matrix must be square, got {matrix.shape}")
-        self.n = matrix.shape[0]
-        try:
-            with warnings.catch_warnings():
-                # getrf only *warns* on an exact zero pivot; the explicit
-                # diagonal check below turns that into the same hard
-                # error np.linalg.solve historically raised.
-                warnings.simplefilter("ignore", LinAlgWarning)
-                self._lu = lu_factor(matrix)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SolverError(f"singular system matrix: {exc}") from exc
-        if np.any(np.diag(self._lu[0]) == 0.0):
-            raise SolverError("singular system matrix: exact zero pivot")
-        get_registry().inc(SOLVER_FACTOR_DENSE)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve against one vector or an ``(n, k)`` column stack."""
-        return lu_solve(self._lu, rhs)
-
-    def solve_many(self, rhs: np.ndarray) -> np.ndarray:
-        """Explicit multi-RHS solve: *rhs* is ``(n, k)``, columns."""
-        rhs = np.asarray(rhs)
-        if rhs.ndim != 2 or rhs.shape[0] != self.n:
-            raise SolverError(
-                f"multi-RHS stack must be ({self.n}, k), got {rhs.shape}"
-            )
-        return lu_solve(self._lu, rhs)
 
 
 class SparseFactorization:
     """Factor-once sparse LU (:func:`scipy.sparse.linalg.splu` on CSC)."""
-
-    method = "sparse"
 
     def __init__(self, matrix):
         if not sparse.issparse(matrix):
@@ -174,39 +58,17 @@ class SparseFactorization:
         return self._lu.solve(rhs)
 
 
-Factorization = Union[DenseFactorization, SparseFactorization]
+def factorize(matrix) -> SparseFactorization:
+    """Factor the :mod:`scipy.sparse` *matrix* once.
 
-
-def factorize(matrix) -> Factorization:
-    """Factor *matrix* with the representation it arrived in.
-
-    A :mod:`scipy.sparse` matrix gets :class:`SparseFactorization`,
-    anything array-like gets :class:`DenseFactorization`.  Raises
-    :class:`~repro.errors.SolverError` when the matrix is singular.
+    Raises :class:`~repro.errors.SolverError` when the matrix is
+    singular or not sparse.
     """
-    if sparse.issparse(matrix):
-        return SparseFactorization(matrix)
-    return DenseFactorization(matrix)
-
-
-def system_matrices(stamps, method: str):
-    """The ``(G, C)`` pair of *stamps* in *method*'s representation."""
-    if method == "sparse":
-        return stamps.g_csc(), stamps.c_csc()
-    return stamps.g_matrix, stamps.c_matrix
+    return SparseFactorization(matrix)
 
 
 def gmin_loaded(g, num_nodes: int, gmin: float):
-    """``G`` with *gmin* added on the node-voltage diagonal.
-
-    Dense inputs reproduce the historical
-    ``g.copy(); g[:n, :n] += np.eye(n) * gmin`` bit for bit; sparse
-    inputs add a diagonal matrix and stay CSC.
-    """
-    if sparse.issparse(g):
-        diagonal = np.zeros(g.shape[0])
-        diagonal[:num_nodes] = gmin
-        return (g + sparse.diags(diagonal)).tocsc()
-    loaded = g.copy()
-    loaded[:num_nodes, :num_nodes] += np.eye(num_nodes) * gmin
-    return loaded
+    """CSC ``G`` with *gmin* added on the node-voltage diagonal."""
+    diagonal = np.zeros(g.shape[0])
+    diagonal[:num_nodes] = gmin
+    return (g + sparse.diags(diagonal)).tocsc()

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Union
 
-from repro.circuit.backend import (
-    factorize,
-    gmin_loaded,
-    resolve_method,
-    system_matrices,
-)
+from repro.circuit.backend import factorize, gmin_loaded
 from repro.circuit.netlist import AssembledCircuit, Circuit
 from repro.errors import SolverError
 from repro.telemetry.registry import SINGULAR_SYSTEM, get_registry
@@ -24,22 +19,18 @@ def operating_point(
     circuit: Union[Circuit, AssembledCircuit],
     time: float = 0.0,
     gmin: float = GMIN,
-    solver: str = "auto",
 ) -> Dict[str, float]:
     """Solve the DC operating point with sources evaluated at *time*.
 
     Inductors are shorts (their branch equations enforce V = 0 at DC) and
     capacitors are opens.  Returns node voltages keyed by node name,
-    including ground.  *solver* picks the factorization backend
-    (``"auto"`` / ``"dense"`` / ``"sparse"``).
+    including ground.
     """
     assembled = circuit.assemble() if isinstance(circuit, Circuit) else circuit
-    method = resolve_method(
-        assembled.size, nnz=assembled.stamps.nnz, solver=solver
-    )
-    with span("circuit.dc", size=assembled.size, time=time, solver=method):
-        g, _ = system_matrices(assembled.stamps, method)
-        loaded = gmin_loaded(g, assembled.num_nodes, gmin)
+    with span("circuit.dc", size=assembled.size, time=time):
+        loaded = gmin_loaded(
+            assembled.stamps.g_csc(), assembled.num_nodes, gmin
+        )
         b = assembled.stamps.source_vector(time)
         try:
             x = factorize(loaded).solve(b)

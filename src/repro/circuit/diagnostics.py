@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.circuit.backend import factorize, resolve_method, system_matrices
+from repro.circuit.backend import factorize
 from repro.circuit.elements import (
     VCVS,
     Capacitor,
@@ -185,7 +185,6 @@ def estimate_local_truncation_error(
     dt: float,
     method: str,
     max_probes: int = 16,
-    solver: str = "auto",
 ) -> Dict[str, float]:
     """Richardson (step-doubling) LTE estimate over a probe subsample.
 
@@ -194,14 +193,9 @@ def estimate_local_truncation_error(
     half-step matrix; the normalized infinity-norm gap against the
     recorded ``x[k+1]`` estimates the local truncation error of that
     step.  Returns ``{"max", "p95", "probes"}`` (NaNs with 0 probes
-    when the half-step matrix is singular).  *solver* picks the
-    half-step factorization backend; keep it in sync with the transient
-    run being diagnosed.
+    when the half-step matrix is singular).
     """
-    backend = resolve_method(
-        assembled.size, nnz=assembled.stamps.nnz, solver=solver
-    )
-    g, c = system_matrices(assembled.stamps, backend)
+    g, c = assembled.stamps.g_csc(), assembled.stamps.c_csc()
     half = dt / 2.0
     if method == "trapezoidal":
         lhs = 2.0 * c / half + g
@@ -209,8 +203,7 @@ def estimate_local_truncation_error(
     else:
         lhs = c / half + g
         rhs_matrix = c / half
-    if backend == "sparse":
-        rhs_matrix = rhs_matrix.tocsr()
+    rhs_matrix = rhs_matrix.tocsr()
     try:
         lu = factorize(lhs)
     except SolverError:

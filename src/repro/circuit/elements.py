@@ -174,13 +174,8 @@ class Stamps:
     branch currents]`` and the system reads ``G x + C dx/dt = b(t)``.
 
     Entries accumulate as COO triplets so a chip-scale netlist never
-    materializes an ``size x size`` array just to be stamped: the sparse
-    solver backend reads :meth:`g_csc` / :meth:`c_csc` directly, while
-    the dense analyses keep reading :attr:`g_matrix` / :attr:`c_matrix`,
-    which are built lazily (and cached) from the same triplets.  The
-    dense build accumulates duplicates in stamping order via
-    ``np.add.at``, so it is bit-identical to the historical
-    stamp-into-``np.zeros`` behaviour.
+    materializes an ``size x size`` array just to be stamped: every
+    analysis reads the CSC matrices :meth:`g_csc` / :meth:`c_csc`.
     """
 
     def __init__(self, node_index, branch_names):
@@ -197,9 +192,6 @@ class Stamps:
         self._c_rows: list = []
         self._c_cols: list = []
         self._c_vals: list = []
-        self._g_dense = None
-        self._c_dense = None
-        self._nnz = None
         # b(t) is assembled from static entries plus per-source callables.
         self._sources = []  # (row, sign, waveform, ac_magnitude)
 
@@ -216,15 +208,11 @@ class Stamps:
         self._g_rows.append(row)
         self._g_cols.append(col)
         self._g_vals.append(value)
-        self._g_dense = None
-        self._nnz = None
 
     def _add_c(self, row: int, col: int, value: float) -> None:
         self._c_rows.append(row)
         self._c_cols.append(col)
         self._c_vals.append(value)
-        self._c_dense = None
-        self._nnz = None
 
     def add_conductance(self, node1: str, node2: str, g: float) -> None:
         """Stamp a conductance between two nodes into G."""
@@ -277,20 +265,6 @@ class Stamps:
     # ------------------------------------------------------------------
     # matrix materialization
     # ------------------------------------------------------------------
-    def _dense(self, rows, cols, vals) -> np.ndarray:
-        matrix = np.zeros((self.size, self.size))
-        if rows:
-            # np.add.at applies the additions unbuffered, in triplet
-            # order -- the same float-accumulation sequence as stamping
-            # straight into the array, hence bit-identical results.
-            np.add.at(
-                matrix,
-                (np.asarray(rows, dtype=np.intp),
-                 np.asarray(cols, dtype=np.intp)),
-                np.asarray(vals, dtype=float),
-            )
-        return matrix
-
     def _csc(self, rows, cols, vals):
         from scipy import sparse
 
@@ -300,24 +274,6 @@ class Stamps:
               np.asarray(cols, dtype=np.intp))),
             shape=(self.size, self.size),
         ).tocsc()
-
-    @property
-    def g_matrix(self) -> np.ndarray:
-        """Dense conductance matrix G (built lazily, cached)."""
-        if self._g_dense is None:
-            self._g_dense = self._dense(
-                self._g_rows, self._g_cols, self._g_vals
-            )
-        return self._g_dense
-
-    @property
-    def c_matrix(self) -> np.ndarray:
-        """Dense reactance matrix C (built lazily, cached)."""
-        if self._c_dense is None:
-            self._c_dense = self._dense(
-                self._c_rows, self._c_cols, self._c_vals
-            )
-        return self._c_dense
 
     def g_csc(self):
         """Sparse CSC conductance matrix (duplicate triplets summed)."""
@@ -330,16 +286,9 @@ class Stamps:
     @property
     def nnz(self) -> int:
         """Structural non-zeros of the combined G/C sparsity pattern."""
-        if self._nnz is None:
-            pattern = set(zip(self._g_rows, self._g_cols))
-            pattern.update(zip(self._c_rows, self._c_cols))
-            self._nnz = len(pattern)
-        return self._nnz
-
-    @property
-    def triplets(self) -> int:
-        """Raw accumulated COO triplet count (before duplicate merge)."""
-        return len(self._g_rows) + len(self._c_rows)
+        pattern = set(zip(self._g_rows, self._g_cols))
+        pattern.update(zip(self._c_rows, self._c_cols))
+        return len(pattern)
 
     def set_branch_source(self, branch: int, waveform, ac_magnitude: float) -> None:
         """Register a branch-row source (voltage source value)."""

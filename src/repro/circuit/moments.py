@@ -20,12 +20,7 @@ from typing import Dict, Union
 
 import numpy as np
 
-from repro.circuit.backend import (
-    factorize,
-    gmin_loaded,
-    resolve_method,
-    system_matrices,
-)
+from repro.circuit.backend import factorize, gmin_loaded
 from repro.circuit.netlist import AssembledCircuit, Circuit
 from repro.errors import CircuitError, SolverError
 
@@ -98,22 +93,16 @@ def compute_moments(
     circuit: Union[Circuit, AssembledCircuit],
     order: int = 3,
     time: float = None,
-    solver: str = "auto",
 ) -> MomentExpansion:
     """Compute voltage moments m0..m_order for all nodes.
 
     Sources are evaluated at *time* (default 0) to form the DC excitation;
     for delay analysis drive the circuit with a unit step source.
-    *solver* picks the factorization backend (``"auto"`` / ``"dense"`` /
-    ``"sparse"``).
     """
     if order < 1:
         raise CircuitError("order must be >= 1")
     assembled = circuit.assemble() if isinstance(circuit, Circuit) else circuit
-    method = resolve_method(
-        assembled.size, nnz=assembled.stamps.nnz, solver=solver
-    )
-    g, c = system_matrices(assembled.stamps, method)
+    g, c = assembled.stamps.g_csc(), assembled.stamps.c_csc()
     loaded = gmin_loaded(g, assembled.num_nodes, 1e-12)  # gmin for floating caps
     b = assembled.stamps.source_vector(0.0 if time is None else time)
 

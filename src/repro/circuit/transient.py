@@ -28,14 +28,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
+from scipy.sparse.linalg import lsqr
 
-from repro.circuit.backend import (
-    factorize,
-    gmin_loaded,
-    resolve_method,
-    system_matrices,
-    validate_solver,
-)
+from repro.circuit.backend import factorize, gmin_loaded
 from repro.circuit.diagnostics import (
     LTE_SUBSAMPLE_PROBES,
     LTE_SUBSAMPLE_SIZE,
@@ -61,6 +56,11 @@ from repro.telemetry.spans import span
 #: Relative tolerance under which ``t_stop / dt`` counts as an integer
 #: (floating-point noise, not a mis-sized grid).
 _STEP_SNAP_RTOL = 1e-9
+
+#: LSQR iteration budget of the singular DC start, per unknown.  In
+#: exact arithmetic LSQR ends within rank(G) <= size steps; the slack
+#: covers the loss of orthogonality in floating point.
+_LSQR_ITERATIONS_PER_UNKNOWN = 4
 
 
 @dataclass
@@ -113,7 +113,6 @@ def transient_analysis(
     initial: str = "dc",
     diagnostics: bool = True,
     lte_probes: int = 16,
-    solver: str = "auto",
 ) -> TransientResult:
     """Integrate the circuit from 0 to *t_stop* with fixed step *dt*.
 
@@ -134,9 +133,6 @@ def transient_analysis(
         capped at :data:`LTE_SUBSAMPLE_PROBES`.
     lte_probes:
         Steps probed by the step-doubling LTE estimate.
-    solver:
-        Factorization backend: ``"auto"`` (default; dense for small
-        systems, sparse at chip scale), ``"dense"`` or ``"sparse"``.
     """
     if t_stop <= 0.0 or dt <= 0.0:
         raise CircuitError("t_stop and dt must be positive")
@@ -146,13 +142,9 @@ def transient_analysis(
         raise CircuitError(f"unknown method {method!r}")
     if initial not in ("dc", "zero"):
         raise CircuitError(f"unknown initial condition mode {initial!r}")
-    validate_solver(solver)
 
     assembled = circuit.assemble() if isinstance(circuit, Circuit) else circuit
-    backend = resolve_method(
-        assembled.size, nnz=assembled.stamps.nnz, solver=solver
-    )
-    g, c = system_matrices(assembled.stamps, backend)
+    g, c = assembled.stamps.g_csc(), assembled.stamps.c_csc()
     registry = get_registry()
 
     requested_dt = dt
@@ -166,13 +158,12 @@ def transient_analysis(
         steps=n_steps,
         dt=dt,
         method=method,
-        solver=backend,
     ) as sp:
         registry.inc(TRANSIENT_STEPS, n_steps)
         x = np.empty((n_steps + 1, assembled.size))
         dc_fallback = False
         if initial == "dc":
-            x[0], dc_fallback = _dc_start(assembled, backend)
+            x[0], dc_fallback = _dc_start(assembled, g)
         else:
             x[0] = assembled.initial_state()
 
@@ -182,9 +173,8 @@ def transient_analysis(
         else:
             lhs = c / dt + g
             rhs_matrix = c / dt
-        if backend == "sparse":
-            # CSR mat-vec is the per-step hot operation.
-            rhs_matrix = rhs_matrix.tocsr()
+        # CSR mat-vec is the per-step hot operation.
+        rhs_matrix = rhs_matrix.tocsr()
 
         t0 = _time.perf_counter()
         try:
@@ -230,7 +220,6 @@ def transient_analysis(
                 diag = _run_diagnostics(
                     assembled, x, time, dt, requested_dt, dt_snapped,
                     method, factor_seconds, dc_fallback, effective_probes,
-                    backend,
                 )
 
     return TransientResult(
@@ -252,10 +241,9 @@ def _run_diagnostics(
     factor_seconds: float,
     dc_fallback: bool,
     lte_probes: int,
-    solver: str = "auto",
 ) -> TransientDiagnostics:
     lte = estimate_local_truncation_error(
-        assembled, x, time, dt, method, max_probes=lte_probes, solver=solver
+        assembled, x, time, dt, method, max_probes=lte_probes
     )
     energy = energy_balance(assembled.circuit, assembled, x, time)
     adequacy = dt_adequacy(assembled.circuit, dt)
@@ -284,9 +272,7 @@ def _run_diagnostics(
     )
 
 
-def _dc_start(
-    assembled: AssembledCircuit, backend: str = "dense"
-) -> Tuple[np.ndarray, bool]:
+def _dc_start(assembled: AssembledCircuit, g) -> Tuple[np.ndarray, bool]:
     """Operating-point start vector plus whether the fallback was taken.
 
     Inductor loops (an inductor directly across a voltage source, or two
@@ -294,21 +280,22 @@ def _dc_start(
     current is genuinely undetermined at DC.  The minimum-norm
     least-squares solution (zero circulating current) is the physical
     start for a transient, so it is used as the fallback (ticking
-    ``circuit_dc_start_fallback``).
+    ``circuit_dc_start_fallback``).  LSQR from a zero start converges to
+    that minimum-norm solution; its default 1e-6 stopping tolerances can
+    stop it far short of it (100 % off on a milliohm-fed pair of
+    parallel inductors), so they and its condition-number stop are
+    disabled and only the iteration count bounds the run.
     """
-    g_raw, _ = system_matrices(assembled.stamps, backend)
-    g = gmin_loaded(g_raw, assembled.num_nodes, 1e-12)
+    g = gmin_loaded(g, assembled.num_nodes, 1e-12)
     b = assembled.stamps.source_vector(0.0)
     try:
         return factorize(g).solve(b), False
     except SolverError:
         get_registry().inc(DC_START_FALLBACK)
-        if backend == "sparse":
-            from scipy.sparse.linalg import lsqr
-
-            solution = lsqr(g, b)[0]
-        else:
-            solution, _, rank, _ = np.linalg.lstsq(g, b, rcond=None)
+        solution = lsqr(
+            g, b, atol=0.0, btol=0.0, conlim=0.0,
+            iter_lim=_LSQR_ITERATIONS_PER_UNKNOWN * assembled.size,
+        )[0]
         residual = g @ solution - b
         if np.max(np.abs(residual)) > 1e-9 * max(1.0, np.max(np.abs(b))):
             get_registry().inc(SINGULAR_SYSTEM)

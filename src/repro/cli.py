@@ -126,10 +126,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 def _cmd_skew(args: argparse.Namespace) -> int:
     return _run_scenario_alias(
         args, "htree-skew",
-        {
-            "LIBRARY": getattr(args, "library", None) or "",
-            "SOLVER": getattr(args, "solver", "auto"),
-        },
+        {"LIBRARY": getattr(args, "library", None) or ""},
     )
 
 
@@ -1040,10 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_skew = sub.add_parser("skew", help="H-tree skew RC vs RLC")
     p_skew.add_argument("--library", default=None,
                         help="characterization library to pull tables from")
-    p_skew.add_argument("--solver", default="auto",
-                        choices=["auto", "dense", "sparse"],
-                        help="MNA factorization backend (auto picks dense "
-                             "for small trees, sparse at chip scale)")
     _add_telemetry_arg(p_skew)
     p_skew.set_defaults(func=_cmd_skew, manages_telemetry=True)
     sub.add_parser("variation", help="process variation study").set_defaults(

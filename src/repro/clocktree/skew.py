@@ -72,7 +72,6 @@ def simulate_clocktree(
     threshold_fraction: float = 0.5,
     lint: bool = True,
     diagnostics: bool = True,
-    solver: str = "auto",
 ) -> SkewResult:
     """Transient-simulate a clocktree netlist and measure sink arrivals.
 
@@ -82,17 +81,13 @@ def simulate_clocktree(
     Unless disabled, the netlist health report (cached from the build,
     or computed here) and the per-run :class:`TransientDiagnostics` ride
     along on the :class:`SkewResult`, so every skew number is traceable
-    to the integration quality that produced it.  *solver* picks the
-    transient factorization backend (``"auto"`` / ``"dense"`` /
-    ``"sparse"``) -- chip-scale trees need ``"sparse"`` (which ``auto``
-    selects by size).
+    to the integration quality that produced it.
     """
     if not netlist.sink_nodes:
         raise CircuitError("netlist has no sinks")
     health = netlist.lint() if (lint or netlist.health is not None) else None
     result = transient_analysis(
         netlist.circuit, t_stop=t_stop, dt=dt, diagnostics=diagnostics,
-        solver=solver,
     )
     level = threshold_fraction * supply
     root_wave = result.voltage(netlist.root_node)
@@ -160,7 +155,6 @@ def compare_rc_vs_rlc(
     t_stop: float,
     dt: float,
     threshold_fraction: float = 0.5,
-    solver: str = "auto",
 ) -> SkewComparison:
     """Extract, formulate and simulate both netlists of one H-tree."""
     supply = htree.buffer.supply
@@ -168,7 +162,7 @@ def compare_rc_vs_rlc(
     rlc_netlist = extractor.build_netlist(htree, include_inductance=True)
     return SkewComparison(
         rc=simulate_clocktree(rc_netlist, supply, t_stop, dt,
-                              threshold_fraction, solver=solver),
+                              threshold_fraction),
         rlc=simulate_clocktree(rlc_netlist, supply, t_stop, dt,
-                               threshold_fraction, solver=solver),
+                               threshold_fraction),
     )

@@ -87,7 +87,6 @@ def run_htree_skew(
     t_stop: float = ps(3000),
     dt: float = ps(0.5),
     library: Optional[Union[str, Path, object]] = None,
-    solver: str = "auto",
 ) -> HTreeSkewResult:
     """Extract and simulate the skew comparison on an H-tree.
 
@@ -95,8 +94,7 @@ def run_htree_skew(
     (:class:`~repro.library.store.TableLibrary` or its root path) the
     default extractor pulls its loop-L/R and capacitance tables from it;
     on a warm library the whole experiment runs without a single
-    field-solver call.  *solver* picks the transient factorization
-    backend (``"auto"`` / ``"dense"`` / ``"sparse"``).
+    field-solver call.
     """
     if htree is None:
         htree = default_htree()
@@ -106,6 +104,5 @@ def run_htree_skew(
             frequency=significant_frequency(htree.buffer.rise_time),
             library=library,
         )
-    comparison = compare_rc_vs_rlc(extractor, htree, t_stop=t_stop, dt=dt,
-                                   solver=solver)
+    comparison = compare_rc_vs_rlc(extractor, htree, t_stop=t_stop, dt=dt)
     return HTreeSkewResult(comparison=comparison, htree=htree)

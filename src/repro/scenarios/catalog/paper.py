@@ -284,7 +284,6 @@ def _run_htree_skew(params: Dict[str, object], session) -> Dict[str, object]:
         t_stop=params["T_STOP"],
         dt=params["DT"],
         library=params["LIBRARY"] or None,
-        solver=params["SOLVER"],
     )
     if session is not None:
         session.add_simulation(result.comparison.simulation_reports())
@@ -321,7 +320,6 @@ register(Scenario(
         "T_STOP": 3e-9,
         "DT": 5e-13,
         "LIBRARY": "",
-        "SOLVER": "auto",
     },
     run=_run_htree_skew,
     render=_render_htree_skew,

@@ -142,7 +142,9 @@ DC_START_FALLBACK = "circuit_dc_start_fallback"
 SINGULAR_SYSTEM = "circuit_singular_system"
 #: Diagnostics capped the LTE probe count on a large system (PR 7).
 LTE_SUBSAMPLED = "circuit_lte_subsampled"
-#: Which backend the MNA factorization abstraction picked (PR 7).
+#: MNA factorizations.  Every analysis factors sparse, so the dense
+#: counter never ticks; its name stays because
+#: ``benchmarks/pipeline/run.py`` still reads it.
 SOLVER_FACTOR_DENSE = "circuit_solver_dense"
 SOLVER_FACTOR_SPARSE = "circuit_solver_sparse"
 NETLIST_LINT = "netlist_lint"

@@ -1,23 +1,17 @@
-"""Unit tests of the shared dense/sparse factorization backend."""
+"""Unit tests of the sparse MNA factorization backend.
+
+Dense numpy (``np.linalg.solve``, hand-stamped arrays) is the oracle
+throughout; the backend itself has no dense path.
+"""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.circuit.backend import (
-    DENSE_SIZE_CUTOFF,
-    SPARSE_DENSITY_CUTOFF,
-    DenseFactorization,
-    SparseFactorization,
-    factorize,
-    gmin_loaded,
-    resolve_method,
-    system_matrices,
-    validate_solver,
-)
+from repro.circuit.backend import SparseFactorization, factorize, gmin_loaded
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import PulseSource
-from repro.errors import CircuitError, SolverError
+from repro.errors import SolverError
 from repro.telemetry import (
     SOLVER_FACTOR_DENSE,
     SOLVER_FACTOR_SPARSE,
@@ -32,75 +26,6 @@ def spd_matrix(n, seed=0):
     return a @ a.T + n * np.eye(n)
 
 
-class TestResolveMethod:
-    def test_explicit_override_wins(self):
-        assert resolve_method(10, solver="sparse") == "sparse"
-        assert resolve_method(10**6, solver="dense") == "dense"
-
-    def test_auto_small_is_dense(self):
-        assert resolve_method(DENSE_SIZE_CUTOFF) == "dense"
-        assert resolve_method(3, nnz=9) == "dense"
-
-    def test_auto_large_is_sparse(self):
-        assert resolve_method(DENSE_SIZE_CUTOFF + 1) == "sparse"
-        assert resolve_method(100_000, nnz=700_000) == "sparse"
-
-    def test_auto_large_but_dense_pattern_stays_dense(self):
-        n = DENSE_SIZE_CUTOFF + 1
-        nnz = int(SPARSE_DENSITY_CUTOFF * n * n) + n
-        assert resolve_method(n, nnz=nnz) == "dense"
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(CircuitError, match="unknown solver"):
-            validate_solver("cholesky")
-        with pytest.raises(CircuitError, match="unknown solver"):
-            resolve_method(10, solver="LU")
-
-
-class TestDenseFactorization:
-    def test_solve_matches_numpy(self):
-        a = spd_matrix(12)
-        b = np.arange(12.0)
-        lu = DenseFactorization(a)
-        assert lu.method == "dense"
-        np.testing.assert_allclose(lu.solve(b), np.linalg.solve(a, b),
-                                   rtol=1e-12)
-
-    def test_solve_many_columns(self):
-        a = spd_matrix(8)
-        rhs = np.random.default_rng(1).standard_normal((8, 5))
-        out = DenseFactorization(a).solve_many(rhs)
-        np.testing.assert_allclose(a @ out, rhs, atol=1e-9)
-
-    def test_solve_many_rejects_bad_shape(self):
-        lu = DenseFactorization(spd_matrix(4))
-        with pytest.raises(SolverError, match="multi-RHS"):
-            lu.solve_many(np.zeros(4))
-        with pytest.raises(SolverError, match="multi-RHS"):
-            lu.solve_many(np.zeros((5, 2)))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(SolverError, match="square"):
-            DenseFactorization(np.zeros((3, 4)))
-
-    def test_singular_raises_solver_error(self):
-        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SolverError, match="singular"):
-            DenseFactorization(singular)
-
-    def test_exactly_zero_matrix_raises(self):
-        # getrf only *warns* here; the backend must still hard-error.
-        with pytest.raises(SolverError, match="singular"):
-            DenseFactorization(np.zeros((3, 3)))
-
-    def test_factor_counter_ticks(self):
-        registry = get_registry()
-        registry.reset()
-        DenseFactorization(spd_matrix(3))
-        assert registry.counter_value(SOLVER_FACTOR_DENSE) == 1
-        assert registry.counter_value(SOLVER_FACTOR_SPARSE) == 0
-
-
 class TestSparseFactorization:
     def test_solve_matches_dense(self):
         a = spd_matrix(20)
@@ -108,7 +33,6 @@ class TestSparseFactorization:
         np.fill_diagonal(a, np.diag(spd_matrix(20)))
         b = np.linspace(-1, 1, 20)
         lu = SparseFactorization(sparse.csc_matrix(a))
-        assert lu.method == "sparse"
         np.testing.assert_allclose(lu.solve(b), np.linalg.solve(a, b),
                                    rtol=1e-10)
 
@@ -143,35 +67,50 @@ class TestSparseFactorization:
 
 class TestFactorize:
     def test_dispatches_on_representation(self):
-        assert isinstance(factorize(np.eye(3)), DenseFactorization)
         assert isinstance(factorize(sparse.eye(3, format="csc")),
                           SparseFactorization)
+        assert isinstance(factorize(sparse.eye(3, format="csr")),
+                          SparseFactorization)
+        with pytest.raises(SolverError, match="scipy.sparse"):
+            factorize(np.eye(3))
 
     def test_both_paths_agree(self):
         a = spd_matrix(15, seed=4)
         b = np.random.default_rng(4).standard_normal(15)
-        dense = factorize(a).solve(b)
         sp = factorize(sparse.csc_matrix(a)).solve(b)
-        np.testing.assert_allclose(sp, dense, rtol=1e-11)
+        np.testing.assert_allclose(sp, np.linalg.solve(a, b), rtol=1e-11)
 
 
 class TestSystemMatrices:
-    def _stamps(self):
+    def test_sparse_matches_dense_assembly(self):
         circuit = Circuit()
         circuit.add_voltage_source(
             "V1", "in", "0", PulseSource(0.0, 1.0, rise=1e-12, width=1.0))
         circuit.add_resistor("R1", "in", "out", 50.0)
         circuit.add_inductor("L1", "out", "m", 1e-9)
         circuit.add_capacitor("C1", "m", "0", 1e-12)
-        return circuit.assemble().stamps
-
-    def test_sparse_matches_dense_assembly(self):
-        stamps = self._stamps()
-        g_dense, c_dense = system_matrices(stamps, "dense")
-        g_sparse, c_sparse = system_matrices(stamps, "sparse")
+        assembled = circuit.assemble()
+        stamps = assembled.stamps
+        g_sparse, c_sparse = stamps.g_csc(), stamps.c_csc()
         assert sparse.issparse(g_sparse) and sparse.issparse(c_sparse)
-        np.testing.assert_array_equal(g_sparse.toarray(), g_dense)
-        np.testing.assert_array_equal(c_sparse.toarray(), c_dense)
+
+        # Hand-stamped dense reference, textbook MNA.
+        n = assembled.size
+        i_in, i_out, i_m = (assembled.node_row(x) for x in ("in", "out", "m"))
+        k_v, k_l = assembled.branch_row("V1"), assembled.branch_row("L1")
+        g = np.zeros((n, n))
+        c = np.zeros((n, n))
+        for a, b in ((i_in, i_in), (i_out, i_out)):
+            g[a, b] += 1.0 / 50.0
+        g[i_in, i_out] -= 1.0 / 50.0
+        g[i_out, i_in] -= 1.0 / 50.0
+        g[i_in, k_v] = g[k_v, i_in] = 1.0
+        g[i_out, k_l] = g[k_l, i_out] = 1.0
+        g[i_m, k_l] = g[k_l, i_m] = -1.0
+        c[i_m, i_m] = 1e-12
+        c[k_l, k_l] = -1e-9
+        np.testing.assert_array_equal(g_sparse.toarray(), g)
+        np.testing.assert_array_equal(c_sparse.toarray(), c)
 
 
 class TestGminLoaded:
@@ -180,19 +119,22 @@ class TestGminLoaded:
         n_nodes, gmin = 4, 1e-12
         expected = g.copy()
         expected[:n_nodes, :n_nodes] += np.eye(n_nodes) * gmin
-        np.testing.assert_array_equal(
-            gmin_loaded(g, n_nodes, gmin), expected)
+        loaded = gmin_loaded(sparse.csc_matrix(g), n_nodes, gmin)
+        assert loaded.format == "csc"
+        np.testing.assert_array_equal(loaded.toarray(), expected)
 
     def test_sparse_matches_dense(self):
-        g = spd_matrix(6, seed=6)
-        loaded_dense = gmin_loaded(g, 3, 1e-9)
-        loaded_sparse = gmin_loaded(sparse.csc_matrix(g), 3, 1e-9)
-        assert sparse.issparse(loaded_sparse)
-        np.testing.assert_allclose(loaded_sparse.toarray(), loaded_dense,
-                                   rtol=1e-15)
+        # Structurally empty diagonal entries must gain gmin too.
+        g = np.array([[0.0, 1.0, 0.0],
+                      [1.0, 0.0, 2.0],
+                      [0.0, 2.0, 5.0]])
+        loaded = gmin_loaded(sparse.csc_matrix(g), 2, 1e-9)
+        assert sparse.issparse(loaded)
+        np.testing.assert_array_equal(
+            loaded.toarray(), g + np.diag([1e-9, 1e-9, 0.0]))
 
     def test_input_not_mutated(self):
-        g = spd_matrix(4, seed=7)
-        before = g.copy()
+        g = sparse.csc_matrix(spd_matrix(4, seed=7))
+        before = g.toarray()
         gmin_loaded(g, 2, 1e-6)
-        np.testing.assert_array_equal(g, before)
+        np.testing.assert_array_equal(g.toarray(), before)

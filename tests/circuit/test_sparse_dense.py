@@ -1,38 +1,43 @@
-"""Sparse and dense MNA backends must be two views of one solver.
+"""The sparse MNA path against an independent dense numpy oracle.
 
-The sparse path exists for chip-scale capacity, not different numbers:
-on any circuit both backends factor the same assembled system, so their
-results must agree to solver roundoff (<= 1e-10 relative -- far tighter
-than any physical tolerance in the suite).  Hypothesis drives randomized
-passive RLC ladders through dc, transient and moment analysis under both
-backends; a seeded H-tree deck covers the extractor-generated netlist
-shape (mutual inductances, buffer VCVS stages) the ladders do not.
+Every analysis factors the CSC ``G`` / ``C`` pair with ``splu``.  The
+oracle below shares no code with :mod:`repro.circuit.backend`: it reads
+the stamped matrices as dense arrays (``stamps.g_csc().toarray()``) and
+solves them with plain numpy/LAPACK -- ``np.linalg.solve`` for DC and
+the moment recursion, a dense-LU trapezoidal / backward-Euler stepper
+for transients, ``np.linalg.lstsq`` for a singular DC start.  Production
+and oracle must agree to solver roundoff (<= 1e-10 relative -- far
+tighter than any physical tolerance in the suite).
 
-Also pinned here: ``solver="auto"`` keeps tier-1-sized fixtures on the
-dense path (so the sparse backend cannot move any seed number), and the
+Decks: hypothesis-random passive RLC ladders, the same ladders with
+every inductor pair mutually coupled, a seeded H-tree deck from the
+real extraction flow (mutuals, buffer VCVS stages) and a coupled bus
+from :mod:`repro.bus.extractor` (dense mutual inductance between every
+pair of matching sections).  Also pinned here: the singular-DC start
+fallback matches the minimum-norm least-squares solution, and the
 chip-scale LTE probe subsampling kicks in exactly above its size cutoff.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.circuit.backend import DENSE_SIZE_CUTOFF
+from repro.circuit.ac import ac_analysis
 from repro.circuit.dc import operating_point
 from repro.circuit.diagnostics import LTE_SUBSAMPLE_PROBES, LTE_SUBSAMPLE_SIZE
 from repro.circuit.moments import compute_moments
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import PulseSource
 from repro.circuit.transient import transient_analysis
-from repro.telemetry import (
-    LTE_SUBSAMPLED,
-    SOLVER_FACTOR_DENSE,
-    SOLVER_FACTOR_SPARSE,
-    get_registry,
-)
+from repro.telemetry import LTE_SUBSAMPLED, SOLVER_FACTOR_SPARSE, get_registry
+from repro.telemetry.registry import DC_START_FALLBACK
 
-#: Acceptance bound: sparse and dense agree to this relative tolerance.
+#: Acceptance bound: production and oracle agree to this relative tolerance.
 AGREEMENT_RTOL = 1e-10
+
+#: The gmin every analysis loads onto the node-voltage diagonal.
+GMIN = 1e-12
 
 FAST = settings(max_examples=15, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -42,13 +47,137 @@ inductances = st.floats(1e-10, 1e-8)
 capacitances = st.floats(1e-14, 1e-12)
 stage = st.tuples(dampings, inductances, capacitances)
 ladders = st.lists(stage, min_size=1, max_size=4)
+methods = st.sampled_from(["trapezoidal", "backward_euler"])
 
 
-def _ladder(stages):
-    """Step-driven RLC ladder parameterized by damping ratio per stage."""
+# ----------------------------------------------------------------------
+# dense numpy oracle
+# ----------------------------------------------------------------------
+class DenseOracle:
+    """Textbook dense MNA solves of one assembled circuit."""
+
+    def __init__(self, circuit):
+        self.assembled = circuit.assemble()
+        stamps = self.assembled.stamps
+        self.g = stamps.g_csc().toarray()
+        self.c = stamps.c_csc().toarray()
+        self.source = stamps.source_vector
+        self.g_loaded = self.g.copy()
+        nodes = np.arange(self.assembled.num_nodes)
+        self.g_loaded[nodes, nodes] += GMIN
+
+    def dc(self, time=0.0):
+        return np.linalg.solve(self.g_loaded, self.source(time))
+
+    def transient(self, t_stop, dt, method):
+        n_steps = int(round(t_stop / dt))
+        time = np.linspace(0.0, t_stop, n_steps + 1)
+        if method == "trapezoidal":
+            lhs = 2.0 * self.c / dt + self.g
+            rhs_matrix = 2.0 * self.c / dt - self.g
+        else:
+            lhs = self.c / dt + self.g
+            rhs_matrix = self.c / dt
+        lu = scipy.linalg.lu_factor(lhs)
+        x = np.empty((n_steps + 1, self.assembled.size))
+        x[0] = self.dc()
+        for k in range(n_steps):
+            b_next = self.source(time[k + 1])
+            rhs = rhs_matrix @ x[k] + b_next
+            if method == "trapezoidal":
+                rhs = rhs + self.source(time[k])
+            x[k + 1] = scipy.linalg.lu_solve(lu, rhs)
+        return x
+
+    def ac(self, frequencies):
+        b = self.assembled.stamps.ac_source_vector()
+        return np.array([
+            np.linalg.solve(self.g + 2j * np.pi * f * self.c, b)
+            for f in frequencies
+        ])
+
+    def moments(self, order):
+        out = [self.dc()]
+        for _ in range(order):
+            out.append(np.linalg.solve(self.g_loaded, -(self.c @ out[-1])))
+        return np.array(out)
+
+    def state(self, node_voltages, branch_currents, k=None):
+        """Production result dicts laid out as the oracle's x vector(s)."""
+        a = self.assembled
+        pick = (lambda v: v) if k is None else (lambda v: v[k])
+        columns = [None] * a.size
+        for node, idx in a.node_index.items():
+            if idx >= 0:
+                columns[idx] = pick(node_voltages[node])
+        for i, name in enumerate(a.branch_names):
+            columns[a.num_nodes + i] = pick(branch_currents[name])
+        return np.array(columns).T
+
+
+def assert_agreement(values, reference):
+    """Relative agreement against the scale of the dense reference."""
+    values = np.asarray(values, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    scale = np.max(np.abs(reference))
+    if scale == 0.0:
+        scale = 1.0
+    np.testing.assert_allclose(
+        values, reference, rtol=AGREEMENT_RTOL, atol=AGREEMENT_RTOL * scale,
+    )
+
+
+def check_dc(circuit):
+    oracle = DenseOracle(circuit)
+    voltages = operating_point(circuit)
+    x = oracle.dc()
+    for node, idx in oracle.assembled.node_index.items():
+        assert_agreement(voltages[node], x[idx] if idx >= 0 else 0.0)
+
+
+def check_transient(circuit, t_stop, dt, method="trapezoidal"):
+    oracle = DenseOracle(circuit)
+    result = transient_analysis(circuit, t_stop=t_stop, dt=dt, method=method,
+                                diagnostics=False)
+    x = oracle.state(result.node_voltages, result.branch_currents)
+    reference = oracle.transient(t_stop, dt, method)
+    assert x.shape == reference.shape
+    for col in range(reference.shape[1]):
+        assert_agreement(x[:, col], reference[:, col])
+
+
+def check_ac(circuit, frequencies):
+    oracle = DenseOracle(circuit)
+    result = ac_analysis(circuit, frequencies)
+    x = oracle.state(result.node_voltages, result.branch_currents)
+    reference = oracle.ac(frequencies)
+    for col in range(reference.shape[1]):
+        for part in (np.real, np.imag):
+            assert_agreement(part(x[:, col]), part(reference[:, col]))
+
+
+def check_moments(circuit, order=4):
+    reference = DenseOracle(circuit).moments(order)
+    production = compute_moments(circuit, order=order).moments
+    # Moment magnitudes fall as (RC)^k; compare order by order.
+    for k in range(order + 1):
+        assert_agreement(production[k], reference[k])
+
+
+# ----------------------------------------------------------------------
+# decks
+# ----------------------------------------------------------------------
+def _ladder(stages, coupling=0.0, ac_magnitude=0.0):
+    """Step-driven RLC ladder parameterized by damping ratio per stage.
+
+    With *coupling* > 0 every pair of inductors is mutually coupled by
+    that coefficient (a uniform-k inductance matrix, positive definite
+    for k < 1).
+    """
     c = Circuit("ladder")
     c.add_voltage_source(
-        "Vs", "n0", "0", PulseSource(0.0, 1.0, rise=1e-11, width=1.0)
+        "Vs", "n0", "0", PulseSource(0.0, 1.0, rise=1e-11, width=1.0),
+        ac_magnitude=ac_magnitude,
     )
     node = "n0"
     for i, (zeta, l, cap) in enumerate(stages):
@@ -59,58 +188,11 @@ def _ladder(stages):
         c.add_inductor(f"L{i}", mid, nxt, l)
         c.add_capacitor(f"C{i}", nxt, "0", cap)
         node = nxt
+    if coupling:
+        for i in range(len(stages)):
+            for j in range(i + 1, len(stages)):
+                c.add_mutual(f"K{i}_{j}", f"L{i}", f"L{j}", coupling=coupling)
     return c
-
-
-def assert_agreement(sparse_values, dense_values):
-    """Relative agreement against the scale of the dense reference."""
-    sparse_values = np.asarray(sparse_values, dtype=float)
-    dense_values = np.asarray(dense_values, dtype=float)
-    scale = np.max(np.abs(dense_values))
-    if scale == 0.0:
-        scale = 1.0
-    np.testing.assert_allclose(
-        sparse_values, dense_values,
-        rtol=AGREEMENT_RTOL, atol=AGREEMENT_RTOL * scale,
-    )
-
-
-class TestLadderAgreement:
-    @given(stages=ladders)
-    @FAST
-    def test_dc_operating_point(self, stages):
-        circuit = _ladder(stages)
-        dense = operating_point(circuit, solver="dense")
-        sparse = operating_point(circuit, solver="sparse")
-        assert sparse.keys() == dense.keys()
-        assert_agreement([sparse[n] for n in dense],
-                         [dense[n] for n in dense])
-
-    @given(stages=ladders, method=st.sampled_from(
-        ["trapezoidal", "backward_euler"]))
-    @FAST
-    def test_transient_waveforms(self, stages, method):
-        circuit = _ladder(stages)
-        runs = {}
-        for solver in ("dense", "sparse"):
-            runs[solver] = transient_analysis(
-                circuit, t_stop=2e-9, dt=1e-11, method=method,
-                diagnostics=False, solver=solver,
-            )
-        for node, dense_wave in runs["dense"].node_voltages.items():
-            assert_agreement(runs["sparse"].node_voltages[node], dense_wave)
-        for name, dense_wave in runs["dense"].branch_currents.items():
-            assert_agreement(runs["sparse"].branch_currents[name], dense_wave)
-
-    @given(stages=ladders)
-    @FAST
-    def test_moments(self, stages):
-        circuit = _ladder(stages)
-        dense = compute_moments(circuit, order=4, solver="dense")
-        sparse = compute_moments(circuit, order=4, solver="sparse")
-        # Moment magnitudes fall as (RC)^k; compare order by order.
-        for k in range(dense.moments.shape[0]):
-            assert_agreement(sparse.moments[k], dense.moments[k])
 
 
 @pytest.fixture(scope="module")
@@ -127,34 +209,145 @@ def htree_netlist():
     return extractor.build_netlist(htree, include_inductance=True)
 
 
+@pytest.fixture(scope="module")
+def bus_circuit():
+    """A 5-trace shielded bus with mutuals between all matching sections,
+    its middle signal driven by a step through a driver resistance."""
+    from repro.bus import BusRLCExtractor
+    from repro.constants import GHz, um
+    from repro.geometry.trace import TraceBlock
+    from repro.rc.capacitance import CapacitanceModel
+
+    block = TraceBlock.from_widths_and_spacings(
+        widths=[um(2)] * 5, spacings=[um(2)] * 4,
+        length=um(1000), thickness=um(1),
+    )
+    extractor = BusRLCExtractor(
+        frequency=GHz(3.2),
+        capacitance_model=CapacitanceModel(height_below=um(2)),
+    )
+    netlist = extractor.build_netlist(extractor.extract(block), sections=3)
+    circuit = netlist.circuit
+    assert circuit.mutuals
+    signals = sorted(netlist.input_nodes)
+    aggressor = signals[len(signals) // 2]
+    circuit.add_voltage_source(
+        "Vagg", "agg_src", "0",
+        PulseSource(0.0, 1.8, delay=2e-11, rise=2e-11, width=1.0),
+    )
+    circuit.add_resistor("Ragg", "agg_src", netlist.input_nodes[aggressor],
+                         25.0)
+    for name in signals:
+        circuit.add_capacitor(f"Cload_{name}", netlist.output_nodes[name],
+                              "0", 20e-15)
+        if name != aggressor:
+            circuit.add_resistor(f"Rterm_{name}", netlist.input_nodes[name],
+                                 "0", 50.0)
+    return circuit
+
+
+# ----------------------------------------------------------------------
+# agreement
+# ----------------------------------------------------------------------
+class TestLadderAgreement:
+    @given(stages=ladders)
+    @FAST
+    def test_dc_operating_point(self, stages):
+        check_dc(_ladder(stages))
+
+    @given(stages=ladders, method=methods)
+    @FAST
+    def test_transient_waveforms(self, stages, method):
+        check_transient(_ladder(stages), t_stop=2e-9, dt=1e-11, method=method)
+
+    @given(stages=ladders)
+    @FAST
+    def test_moments(self, stages):
+        check_moments(_ladder(stages))
+
+
+class TestCoupledLadderAgreement:
+    """Every inductor pair coupled: the densest C block MNA produces."""
+
+    couplings = st.floats(0.05, 0.9)
+    coupled_ladders = st.lists(stage, min_size=2, max_size=5)
+
+    @given(stages=coupled_ladders, k=couplings)
+    @FAST
+    def test_dc_operating_point(self, stages, k):
+        check_dc(_ladder(stages, coupling=k))
+
+    @given(stages=coupled_ladders, k=couplings, method=methods)
+    @FAST
+    def test_transient_waveforms(self, stages, k, method):
+        check_transient(_ladder(stages, coupling=k), t_stop=2e-9, dt=1e-11,
+                        method=method)
+
+    @given(stages=coupled_ladders, k=couplings)
+    @FAST
+    def test_moments(self, stages, k):
+        check_moments(_ladder(stages, coupling=k))
+
+    @given(stages=coupled_ladders, k=couplings)
+    @FAST
+    def test_ac_sweep(self, stages, k):
+        check_ac(_ladder(stages, coupling=k, ac_magnitude=1.0),
+                 np.logspace(6.0, 11.0, 25))
+
+
 class TestHTreeDeckAgreement:
     def test_transient_sparse_matches_dense(self, htree_netlist):
-        runs = {}
-        for solver in ("dense", "sparse"):
-            runs[solver] = transient_analysis(
-                htree_netlist.circuit, t_stop=3e-10, dt=5e-13,
-                diagnostics=False, solver=solver,
-            )
-        for node, dense_wave in runs["dense"].node_voltages.items():
-            assert_agreement(runs["sparse"].node_voltages[node], dense_wave)
+        check_transient(htree_netlist.circuit, t_stop=3e-10, dt=5e-13)
 
     def test_dc_sparse_matches_dense(self, htree_netlist):
-        dense = operating_point(htree_netlist.circuit, solver="dense")
-        sparse = operating_point(htree_netlist.circuit, solver="sparse")
-        assert_agreement([sparse[n] for n in dense],
-                         [dense[n] for n in dense])
+        check_dc(htree_netlist.circuit)
 
-    def test_auto_picks_dense_on_extracted_fixture(self, htree_netlist):
-        assembled = htree_netlist.circuit.assemble()
-        assert assembled.size <= DENSE_SIZE_CUTOFF
+
+class TestBusDeckAgreement:
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
+    def test_transient(self, bus_circuit, method):
+        check_transient(bus_circuit, t_stop=2e-10, dt=1e-12, method=method)
+
+    def test_dc(self, bus_circuit):
+        check_dc(bus_circuit)
+
+    def test_moments(self, bus_circuit):
+        check_moments(bus_circuit)
+
+
+# ----------------------------------------------------------------------
+# singular DC start
+# ----------------------------------------------------------------------
+def _parallel_inductors(r_feed):
+    """Two inductors in parallel at DC: singular but consistent."""
+    c = Circuit("parallel-L")
+    c.add_voltage_source("V1", "a", "0", 1.0)
+    c.add_resistor("R1", "a", "b", r_feed)
+    c.add_inductor("L1", "b", "0", 1e-9)
+    c.add_inductor("L2", "b", "0", 2e-9)
+    c.add_resistor("R2", "b", "0", 50.0)
+    return c
+
+
+class TestDCStartFallback:
+    @pytest.mark.parametrize("r_feed", [10.0, 1.0, 0.1, 1e-2, 1e-3, 1e4])
+    def test_matches_minimum_norm_least_squares(self, r_feed):
+        circuit = _parallel_inductors(r_feed)
+        oracle = DenseOracle(circuit)
+        reference = np.linalg.lstsq(
+            oracle.g_loaded, oracle.source(0.0), rcond=None)[0]
         registry = get_registry()
         registry.reset()
-        transient_analysis(htree_netlist.circuit, t_stop=2e-10, dt=1e-12,
-                           diagnostics=False, solver="auto")
-        assert registry.counter_value(SOLVER_FACTOR_DENSE) >= 1
-        assert registry.counter_value(SOLVER_FACTOR_SPARSE) == 0
+        result = transient_analysis(circuit, t_stop=1e-10, dt=1e-12)
+        assert result.diagnostics.dc_start_fallback
+        assert registry.counter_value(DC_START_FALLBACK) == 1
+        start = oracle.state(result.node_voltages, result.branch_currents, k=0)
+        assert_agreement(start, reference)
 
 
+# ----------------------------------------------------------------------
+# chip-scale LTE probe subsampling
+# ----------------------------------------------------------------------
 def _rc_chain(stages):
     """A long RC chain: one node per stage, chip-scale-sized cheaply."""
     c = Circuit("chain")
@@ -180,7 +373,6 @@ class TestLTESubsampling:
         )
         assert registry.counter_value(LTE_SUBSAMPLED) == 1
         assert result.diagnostics.lte_probes <= LTE_SUBSAMPLE_PROBES
-        # A circuit this size also auto-selects the sparse backend.
         assert registry.counter_value(SOLVER_FACTOR_SPARSE) >= 1
 
     def test_small_circuit_keeps_requested_probes(self):

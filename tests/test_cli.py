@@ -17,6 +17,12 @@ class TestParser:
             args = parser.parse_args([command])
             assert callable(args.func)
 
+    def test_skew_has_no_solver_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["skew", "--solver", "dense"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --solver" in capsys.readouterr().err
+
     def test_lint_command_known(self):
         args = build_parser().parse_args(["lint", "deck.sp"])
         assert callable(args.func)
@@ -337,6 +343,18 @@ class TestRunCLI:
         assert main(["run", "fig1-delay", "--NOPE=1",
                      "--ledger", ledger]) == 2
         assert "no parameter 'NOPE'" in capsys.readouterr().err
+
+    def test_removed_solver_param_is_unknown(self, tmp_path, capsys):
+        from repro.errors import ScenarioError
+        from repro.scenarios import run_scenario
+
+        ledger = str(tmp_path / "ledger")
+        assert main(["run", "htree-skew", "--SOLVER=dense",
+                     "--ledger", ledger]) == 2
+        err = capsys.readouterr().err
+        assert "error: scenario 'htree-skew' has no parameter 'SOLVER'" in err
+        with pytest.raises(ScenarioError, match="no parameter 'SOLVER'"):
+            run_scenario("htree-skew", {"SOLVER": "dense"})
 
     def test_param_override_rejected_outside_run(self, capsys):
         assert main(["fig1", "--SECTIONS=4"]) == 2
