@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 from conftest import record_bench, report
 
-from repro import instrumentation
 from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.constants import GHz, um
 from repro.geometry.primitives import Point3D, RectBar
@@ -43,6 +42,12 @@ from repro.peec.kernel import (
 )
 from repro.peec.loop import LoopProblem
 from repro.peec.mesh import mesh_bar
+from repro.telemetry import (
+    LP_MEMO_HIT,
+    LP_MEMO_MISS,
+    LP_PAIR_EVAL,
+    get_registry,
+)
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 TELEMETRY_PATH = RESULTS_PATH.with_name("BENCH_kernel_telemetry.json")
@@ -213,14 +218,15 @@ def test_memo_cache_hits_during_table_build(tmp_path):
     cache = lp_memo_cache()
     cache.clear()
     cache.reset_stats()
-    instrumentation.reset_solver_calls()
+    registry = get_registry()
+    registry.reset()
 
     build_library(tmp_path / "kit", [job], parallel=False)
 
-    hits = instrumentation.solver_call_count(instrumentation.LP_MEMO_HIT)
-    misses = instrumentation.solver_call_count(instrumentation.LP_MEMO_MISS)
-    evals = instrumentation.solver_call_count(instrumentation.LP_PAIR_EVAL)
-    hit_rate = instrumentation.memo_hit_rate()
+    hits = registry.counter_value(LP_MEMO_HIT)
+    misses = registry.counter_value(LP_MEMO_MISS)
+    evals = registry.counter_value(LP_PAIR_EVAL)
+    hit_rate = registry.snapshot().memo_hit_rate
     report(
         f"memo cache during a {job.num_points()}-point LoopTableJob build",
         [

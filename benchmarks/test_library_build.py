@@ -22,11 +22,11 @@ from pathlib import Path
 
 from conftest import record_bench, report
 
-from repro import instrumentation
 from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.clocktree.extractor import ClocktreeRLCExtractor
 from repro.constants import GHz, um
 from repro.library import LoopTableJob, TableLibrary, build_library
+from repro.telemetry import metrics_meter
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_library.json"
 
@@ -115,12 +115,12 @@ def test_cold_vs_warm_lookup_latency(tmp_path):
                                  library=tmp_path / "kit")
     warm.segment_rlc(um(2200))  # touch once: spline setup is already done
     n_queries = 200
-    instrumentation.reset_solver_calls()
-    t0 = time.perf_counter()
-    for k in range(n_queries):
-        warm.segment_rlc(um(2200) + k * um(1))
-    warm_time = (time.perf_counter() - t0) / n_queries
-    solver_calls = instrumentation.solver_call_count()
+    with metrics_meter() as meter:
+        t0 = time.perf_counter()
+        for k in range(n_queries):
+            warm.segment_rlc(um(2200) + k * um(1))
+        warm_time = (time.perf_counter() - t0) / n_queries
+    solver_calls = meter.total
     warm_rlc = warm.segment_rlc(um(2200))  # same point as the cold solve
 
     speedup = cold_time / warm_time if warm_time > 0 else float("inf")

@@ -19,12 +19,12 @@ from pathlib import Path
 
 from conftest import record_bench, report
 
-from repro import instrumentation
 from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.constants import GHz, um
 from repro.library import build_library, standard_clocktree_jobs
 from repro.serve import ExtractionService, start_server
 from repro.serve.loadgen import run_load
+from repro.telemetry import metrics_meter
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
@@ -59,12 +59,12 @@ def test_steady_state_load(tmp_path):
                           threads=1, requests_per_thread=1)
         assert warmup.errors == 0
 
-        instrumentation.reset_solver_calls()
-        load = run_load(
-            server.url, "extract", REQUEST,
-            threads=THREADS, requests_per_thread=REQUESTS_PER_THREAD,
-        )
-        solver_calls = instrumentation.solver_call_count()
+        with metrics_meter() as meter:
+            load = run_load(
+                server.url, "extract", REQUEST,
+                threads=THREADS, requests_per_thread=REQUESTS_PER_THREAD,
+            )
+        solver_calls = meter.total
     finally:
         server.shutdown()
         server.server_close()

@@ -1,9 +1,13 @@
 """Command-line front end: run the paper's experiments from a shell.
 
-``repro <experiment>`` (or ``python -m repro <experiment>``) runs one of
-the reproduction experiments and prints its headline numbers;
-``repro characterize`` builds and saves extraction tables for a CPW
-family.
+Every experiment executes through the scenario runner.  ``repro run
+<scenario> [--PARAM=value ...]`` is the general form; the legacy
+commands (``repro fig1``, ``fig5``, ``table1``, ``scaling``, ``skew``,
+``variation``, ``accuracy``, ``crosstalk``) are rows of :data:`ALIASES`
+that map their flags onto scenario parameters.  Each alias records one
+ledger run and prints its scenario's ``render``.  The other commands
+build design kits (``characterize``, ``library``), export and lint
+decks, serve, and inspect runs, sweeps, benches and telemetry reports.
 """
 
 from __future__ import annotations
@@ -11,15 +15,72 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 
-from repro.constants import GHz, to_GHz, to_nH, to_pF, to_ps, um
+from repro.constants import GHz, to_GHz, um
 
 #: ``--PARAM=value`` scenario override (pycomex style): UPPERCASE name,
 #: pre-extracted in :func:`main` because argparse cannot accept unknown
 #: option names per-scenario.
 _PARAM_OVERRIDE = re.compile(r"^--([A-Z][A-Z0-9_]*)=(.*)$", re.DOTALL)
+
+
+class Alias(NamedTuple):
+    """A legacy experiment command: one catalog scenario plus its flags.
+
+    Each flag is ``(option, PARAM, scale, help)``: the option's value
+    times *scale* becomes the scenario override (a None *scale* passes
+    the string through).  An option left unset passes nothing, so the
+    scenario's declared default applies.
+    """
+
+    command: str
+    scenario: str
+    help: str
+    flags: Tuple[Tuple[str, str, Optional[float], Optional[str]], ...] = ()
+    #: Whether the command takes ``--telemetry FILE``.
+    telemetry: bool = False
+
+    def overrides(self, args: argparse.Namespace) -> dict:
+        """Scenario overrides for the flags set on the parsed *args*."""
+        overrides = {}
+        for option, param, scale, _help in self.flags:
+            value = getattr(args, option[2:].replace("-", "_"))
+            if value is not None:
+                # 15 significant digits undo the float noise of the unit
+                # scale (800 um -> 8e-4, not 7.999999999999999e-4), so
+                # the run key matches the value spelled --PARAM=8e-4.
+                overrides[param] = (value if scale is None
+                                    else float(f"{value * scale:.15g}"))
+        return overrides
+
+
+ALIASES: Tuple[Alias, ...] = (
+    Alias("fig1", "fig1-delay", "Figs. 1-3 delay comparison",
+          (("--drive-resistance", "DRIVE_RESISTANCE", 1.0, None),),
+          telemetry=True),
+    Alias("fig5", "fig5-foundations", "Fig. 5 loop L11/L12 + Foundations",
+          (("--traces", "N_TRACES", 1.0, None),)),
+    Alias("table1", "table1-cascading", "Table I cascading comparison"),
+    Alias("scaling", "length-scaling", "super-linear length scaling"),
+    Alias("skew", "htree-skew", "H-tree skew RC vs RLC",
+          (("--library", "LIBRARY", None,
+            "characterization library to pull tables from"),),
+          telemetry=True),
+    Alias("variation", "process-variation", "process variation study"),
+    Alias("accuracy", "table-accuracy", "table accuracy and speedup",
+          telemetry=True),
+    Alias("crosstalk", "bus-crosstalk", "bus aggressor/victim noise", (
+        ("--traces", "N_TRACES", 1.0, None),
+        ("--width", "WIDTH", 1e-6, "[um]"),
+        ("--spacing", "SPACING", 1e-6, "[um]"),
+        ("--length", "LENGTH", 1e-6, "[um]"),
+        ("--thickness", "THICKNESS", 1e-6, "[um]"),
+        ("--height-below", "HEIGHT_BELOW", 1e-6, "[um]"),
+        ("--frequency", "FREQUENCY", 1e9, "[GHz]"),
+    )),
+)
 
 
 def _print_simulation_health(sections) -> None:
@@ -41,117 +102,65 @@ def _print_simulation_health(sections) -> None:
             print(f"  [{label}] " + ", ".join(parts))
 
 
-def _run_scenario_alias(args: argparse.Namespace, name: str,
-                        overrides: dict) -> int:
-    """Legacy experiment commands routed through the scenario runner.
+def _print_outcome(name: str, outcome) -> None:
+    """The scenario's ``render`` plus the simulation-health one-liners."""
+    from repro.scenarios import get_scenario
+
+    render = get_scenario(name).render
+    if render is not None:
+        print(render(outcome.metrics))
+    if outcome.report is not None and outcome.report.simulation:
+        _print_simulation_health(outcome.report.simulation)
+
+
+def _scenario_guard(func):
+    """Map scenario errors to exit codes instead of tracebacks.
+
+    A run that raised (already recorded as failed in the ledger) exits
+    1 with ``FAILED:``; a bad request -- unknown scenario or parameter,
+    a LIBRARY that is not a kit, a missing ledger -- exits 2.
+    """
+    def wrapper(args: argparse.Namespace) -> int:
+        from repro.errors import ScenarioError, ScenarioRunError
+
+        try:
+            return func(args)
+        except ScenarioRunError as exc:
+            print(f"FAILED: {exc}", file=sys.stderr)
+            return 1
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    wrapper.__name__ = getattr(func, "__name__", "scenario_command")
+    return wrapper
+
+
+def _run_scenario_alias(args: argparse.Namespace) -> int:
+    """Run the legacy command ``args.alias`` through the scenario runner.
 
     Aliases always execute (``force=True``) and always record a
     provenance-stamped ledger run; skip-if-done is a ``repro run``
-    behavior.  Output is the scenario's own ``render`` plus the
-    simulation-health one-liners, so the console contract is unchanged.
+    behavior.
     """
-    from repro.scenarios import get_scenario, run_scenario
+    from repro.scenarios import run_scenario
 
+    alias = args.alias
     telemetry_path = getattr(args, "telemetry", None)
     outcome = run_scenario(
-        name, overrides,
+        alias.scenario, alias.overrides(args),
         force=True,
-        command=f"repro {args.command}",
+        command=f"repro {alias.command}",
         telemetry_path=telemetry_path,
     )
-    scenario = get_scenario(name)
-    if scenario.render is not None:
-        print(scenario.render(outcome.metrics))
-    if outcome.report is not None and outcome.report.simulation:
-        _print_simulation_health(outcome.report.simulation)
+    _print_outcome(alias.scenario, outcome)
     if telemetry_path:
         print(f"telemetry report -> {telemetry_path}")
     return 0
 
 
-def _cmd_fig1(args: argparse.Namespace) -> int:
-    return _run_scenario_alias(
-        args, "fig1-delay",
-        {"DRIVE_RESISTANCE": args.drive_resistance},
-    )
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    from repro.experiments import run_fig5
-
-    result = run_fig5(n_traces=args.traces)
-    print(f"Fig. 5 loop inductance matrix [nH] at {to_GHz(result.frequency):.1f} GHz")
-    header = "       " + "".join(f"{name:>9}" for name in result.trace_names)
-    print(header)
-    for name, row in zip(result.trace_names, result.loop_matrix):
-        cells = "".join(f"{to_nH(v):9.4f}" for v in row)
-        print(f"  {name:>5}{cells}")
-    f1, f2 = result.foundation1, result.foundation2
-    print(f"  Foundation 1: {to_nH(f1.full_value):.4f} vs {to_nH(f1.reduced_value):.4f} nH"
-          f"  (error {f1.relative_error * 100.0:.2f} %)")
-    print(f"  Foundation 2: {to_nH(f2.full_value):.4f} vs {to_nH(f2.reduced_value):.4f} nH"
-          f"  (error {f2.relative_error * 100.0:.2f} %)")
-    return 0
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments import run_table1
-
-    result = run_table1()
-    print("Table I: linear cascading comparison "
-          f"(at {to_GHz(result.frequency):.1f} GHz; paper errors: 3.57 %, 1.55 %)")
-    print(f"  {'structure':>10} {'full L [nH]':>12} {'S/P comb [nH]':>14} {'error':>8}")
-    for row in result.rows:
-        cmp_ = row.comparison
-        print(f"  {row.name:>10} {to_nH(cmp_.full_inductance):12.4f} "
-              f"{to_nH(cmp_.combined_inductance):14.4f} {row.error_percent:7.2f}%")
-    return 0
-
-
-def _cmd_scaling(args: argparse.Namespace) -> int:
-    from repro.experiments import run_length_scaling
-
-    result = run_length_scaling()
-    print("Super-linear inductance length scaling (Sec. V)")
-    print(f"  {'length [um]':>12} {'self L [nH]':>12} {'mutual L [nH]':>14}")
-    for length, ls, lm in zip(
-        result.lengths, result.self_inductance, result.mutual_inductance
-    ):
-        print(f"  {length * 1e6:12.0f} {to_nH(ls):12.4f} {to_nH(lm):14.4f}")
-    print(f"  L(2000um)/L(1000um) = {result.doubling_ratio(1e-3):.3f} "
-          "(paper: about 2.2)")
-    return 0
-
-
-def _cmd_skew(args: argparse.Namespace) -> int:
-    return _run_scenario_alias(
-        args, "htree-skew",
-        {"LIBRARY": getattr(args, "library", None) or ""},
-    )
-
-
-def _cmd_variation(args: argparse.Namespace) -> int:
-    from repro.experiments import run_process_variation
-
-    result = run_process_variation()
-    print("Process variation: statistical RC vs nominal L (Sec. V)")
-    print(f"  R spread (sigma/mean) = {result.r_spread * 100.0:5.2f} %")
-    print(f"  C spread (sigma/mean) = {result.c_spread * 100.0:5.2f} %")
-    print(f"  L spread (sigma/mean) = {result.l_spread * 100.0:5.2f} %")
-    print(f"  L is {result.l_insensitivity_factor:.1f}x steadier than R/C "
-          "-- nominal-L + statistical-RC is justified")
-    return 0
-
-
-def _cmd_accuracy(args: argparse.Namespace) -> int:
-    return _run_scenario_alias(args, "table-accuracy", {})
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.errors import ScenarioError, ScenarioRunError
     from repro.scenarios import (RunLedger, all_scenarios,
-                                 default_ledger_root, get_scenario,
-                                 run_scenario)
+                                 default_ledger_root, run_scenario)
 
     if args.list_scenarios or args.scenario is None:
         group = None
@@ -170,22 +179,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         return 0
 
-    ledger_root = args.ledger or default_ledger_root()
-    ledger = RunLedger(ledger_root)
-    try:
-        outcome = run_scenario(
-            args.scenario,
-            getattr(args, "param_overrides", None),
-            ledger=ledger,
-            force=args.force,
-            telemetry_path=args.telemetry,
-        )
-    except ScenarioRunError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return 1
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ledger = RunLedger(args.ledger or default_ledger_root())
+    outcome = run_scenario(
+        args.scenario,
+        getattr(args, "param_overrides", None),
+        ledger=ledger,
+        force=args.force,
+        telemetry_path=args.telemetry,
+    )
 
     if args.json:
         import json as _json
@@ -201,30 +202,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if outcome.skipped:
         print(f"run {args.scenario}: ledger hit {outcome.run_id} "
               "(identical request already completed; --force to rerun)")
-    scenario = get_scenario(args.scenario)
-    if scenario.render is not None:
-        print(scenario.render(outcome.metrics))
-    if outcome.report is not None and outcome.report.simulation:
-        _print_simulation_health(outcome.report.simulation)
+    _print_outcome(args.scenario, outcome)
     if not outcome.skipped:
         print(f"run recorded: {outcome.run_id} -> {ledger.root}")
     if args.telemetry and not outcome.skipped:
         print(f"telemetry report -> {args.telemetry}")
     return 0
-
-
-def _scenario_guard(func):
-    """Turn ScenarioError from a `runs` subcommand into a usage error."""
-    def wrapper(args: argparse.Namespace) -> int:
-        from repro.errors import ScenarioError
-
-        try:
-            return func(args)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    wrapper.__name__ = getattr(func, "__name__", "runs_command")
-    return wrapper
 
 
 def _runs_ledger(args: argparse.Namespace):
@@ -424,16 +407,10 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     return code
 
 
-def _sweep_ledger(args: argparse.Namespace):
-    from repro.scenarios import RunLedger, default_ledger_root
-
-    return RunLedger(args.ledger or default_ledger_root(), create=False)
-
-
 def _cmd_sweep_status(args: argparse.Namespace) -> int:
     from repro.scenarios import render_campaign_entries
 
-    ledger = _sweep_ledger(args)
+    ledger = _runs_ledger(args)
     rows = ledger.campaign_entries(scenario=args.scenario)
     if args.json:
         import json as _json
@@ -448,7 +425,7 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
 def _cmd_sweep_report(args: argparse.Namespace) -> int:
     from repro.scenarios import CampaignReport, render_campaign
 
-    ledger = _sweep_ledger(args)
+    ledger = _runs_ledger(args)
     row = ledger.resolve_campaign(args.campaign)
     record = ledger.load_campaign(str(row["campaign_id"]))
     if args.json:
@@ -463,7 +440,7 @@ def _cmd_sweep_report(args: argparse.Namespace) -> int:
 def _cmd_sweep_diff(args: argparse.Namespace) -> int:
     from repro.scenarios import CampaignReport, diff_campaigns
 
-    ledger = _sweep_ledger(args)
+    ledger = _runs_ledger(args)
     base_row = ledger.resolve_campaign(args.baseline)
     cand_row = ledger.resolve_campaign(args.candidate)
     baseline = CampaignReport.from_dict(
@@ -480,38 +457,6 @@ def _cmd_sweep_diff(args: argparse.Namespace) -> int:
     if diff.nothing_compared:
         return 3
     return 0 if diff.passed else 1
-
-
-def _cmd_crosstalk(args: argparse.Namespace) -> int:
-    from repro.bus import BusRLCExtractor, crosstalk_analysis
-    from repro.geometry.trace import TraceBlock
-    from repro.rc.capacitance import CapacitanceModel
-
-    n = args.traces
-    block = TraceBlock.from_widths_and_spacings(
-        widths=[um(args.width)] * n,
-        spacings=[um(args.spacing)] * (n - 1),
-        length=um(args.length),
-        thickness=um(args.thickness),
-    )
-    extractor = BusRLCExtractor(
-        frequency=GHz(args.frequency),
-        capacitance_model=CapacitanceModel(height_below=um(args.height_below)),
-    )
-    bus = extractor.extract(block)
-    aggressor = f"T{(n + 1) // 2}"
-    full = crosstalk_analysis(extractor, bus, aggressor=aggressor)
-    cap_only = crosstalk_analysis(extractor, bus, aggressor=aggressor,
-                                  include_mutual=False)
-    print(f"{n}-trace bus crosstalk, aggressor {aggressor} "
-          "(outer traces are shields)")
-    print(f"  {'victim':>7} {'full RLC':>12} {'cap-only':>12}")
-    for victim in sorted(full.victim_noise_peak):
-        print(f"  {victim:>7} {full.noise_of(victim) * 1e3:9.1f} mV "
-              f"{cap_only.noise_of(victim) * 1e3:9.1f} mV")
-    print("  inductive coupling is long-range: far victims lose most of")
-    print("  their noise when the mutual inductances are dropped.")
-    return 0
 
 
 def _cmd_spice(args: argparse.Namespace) -> int:
@@ -1019,33 +964,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fig1 = sub.add_parser("fig1", help="Figs. 1-3 delay comparison")
-    p_fig1.add_argument("--drive-resistance", type=float, default=15.0)
-    _add_telemetry_arg(p_fig1)
-    p_fig1.set_defaults(func=_cmd_fig1, manages_telemetry=True)
-
-    p_fig5 = sub.add_parser("fig5", help="Fig. 5 loop-L matrix + Foundations")
-    p_fig5.add_argument("--traces", type=int, default=5)
-    p_fig5.set_defaults(func=_cmd_fig5)
-
-    sub.add_parser("table1", help="Table I cascading comparison").set_defaults(
-        func=_cmd_table1
-    )
-    sub.add_parser("scaling", help="super-linear length scaling").set_defaults(
-        func=_cmd_scaling
-    )
-    p_skew = sub.add_parser("skew", help="H-tree skew RC vs RLC")
-    p_skew.add_argument("--library", default=None,
-                        help="characterization library to pull tables from")
-    _add_telemetry_arg(p_skew)
-    p_skew.set_defaults(func=_cmd_skew, manages_telemetry=True)
-    sub.add_parser("variation", help="process variation study").set_defaults(
-        func=_cmd_variation
-    )
-    p_accuracy = sub.add_parser("accuracy",
-                                help="table accuracy and speedup")
-    _add_telemetry_arg(p_accuracy)
-    p_accuracy.set_defaults(func=_cmd_accuracy, manages_telemetry=True)
+    run_alias = _scenario_guard(_run_scenario_alias)
+    for alias in ALIASES:
+        p_alias = sub.add_parser(alias.command, help=alias.help)
+        for option, _param, scale, help_text in alias.flags:
+            p_alias.add_argument(option, default=None,
+                                 type=str if scale is None else float,
+                                 help=help_text)
+        if alias.telemetry:
+            _add_telemetry_arg(p_alias)
+        p_alias.set_defaults(func=run_alias, alias=alias,
+                             manages_telemetry=True)
 
     p_run = sub.add_parser(
         "run",
@@ -1065,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--json", action="store_true",
                        help="emit run id/key/params/metrics as JSON")
     _add_telemetry_arg(p_run)
-    p_run.set_defaults(func=_cmd_run, manages_telemetry=True)
+    p_run.set_defaults(func=_scenario_guard(_cmd_run), manages_telemetry=True)
 
     p_runs = sub.add_parser(
         "runs", help="inspect the run ledger: list / show / diff / gc")
@@ -1206,16 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sdiff.add_argument("--mad-k", type=float, default=3.0,
                          help="MAD multiplier widening the gate")
     p_sdiff.set_defaults(func=_scenario_guard(_cmd_sweep_diff))
-
-    p_xtalk = sub.add_parser("crosstalk", help="bus aggressor/victim noise")
-    p_xtalk.add_argument("--traces", type=int, default=7)
-    p_xtalk.add_argument("--width", type=float, default=2.0, help="[um]")
-    p_xtalk.add_argument("--spacing", type=float, default=2.0, help="[um]")
-    p_xtalk.add_argument("--length", type=float, default=2000.0, help="[um]")
-    p_xtalk.add_argument("--thickness", type=float, default=1.0, help="[um]")
-    p_xtalk.add_argument("--height-below", type=float, default=2.0, help="[um]")
-    p_xtalk.add_argument("--frequency", type=float, default=6.4, help="[GHz]")
-    p_xtalk.set_defaults(func=_cmd_crosstalk)
 
     p_spice = sub.add_parser("spice", help="export an extracted clocktree deck")
     p_spice.add_argument("--output", required=True, help="output .sp file")

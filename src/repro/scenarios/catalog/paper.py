@@ -5,7 +5,8 @@ knobs exposed as typed UPPERCASE parameters (lengths/times in SI units,
 frequencies in Hz) and the headline numbers returned as the metrics
 dict the run ledger stores and diffs.  The ``render`` functions are the
 single source of the human console output -- the legacy ``repro fig1``
-/ ``repro skew`` / ``repro accuracy`` aliases print exactly these.
+/ ``fig5`` / ``table1`` / ``scaling`` / ``skew`` / ``variation`` /
+``accuracy`` aliases print exactly these.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Execute scenarios: content-addressed run keys, skip-if-done, ledger.
 
 ``run_scenario`` is the one code path every experiment invocation takes
--- ``repro run <scenario>``, the legacy ``repro fig1/skew/accuracy``
-aliases, and tests all land here.  The flow:
+-- ``repro run <scenario>``, the eight legacy experiment commands
+(``repro fig1``, ``skew``, ``crosstalk``, ...), and tests all land
+here.  The flow:
 
 1. canonicalize params (``spec.canonical_params``) so spelling variants
    of the same request collapse;
@@ -65,7 +66,7 @@ def kit_manifest_sha(params: Mapping[str, object]) -> str:
     if not manifest.exists():
         raise ScenarioError(
             f"LIBRARY={library!r} has no manifest.json -- not a table "
-            "library (build one with `repro characterize`)")
+            "library (build one with `repro library build --root DIR`)")
     return hashlib.sha256(manifest.read_text().encode("utf-8")).hexdigest()
 
 

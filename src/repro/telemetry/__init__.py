@@ -1,7 +1,7 @@
 """Zero-dependency observability for the extraction pipeline.
 
-``repro.telemetry`` supersedes and absorbs :mod:`repro.instrumentation`
-(which remains as a thin compatibility shim).  Four pieces:
+``repro.telemetry`` is the one metrics and tracing layer; every solver
+counter, zero-solve assertion and run report reads it.  Four pieces:
 
 * :mod:`~repro.telemetry.registry` -- a process-wide metrics registry
   (counters, gauges, fixed-bucket histograms) with atomic snapshots and

@@ -17,8 +17,7 @@ economics behind it) continuously measurable.  One process-wide
 Everything is guarded by **one** registry lock, so
 :meth:`MetricsRegistry.snapshot` is atomic across every metric: derived
 quantities like the memo hit rate are computed from a single coherent
-snapshot instead of two racy reads (the bug the old
-``instrumentation.memo_hit_rate`` had).
+snapshot instead of two racy reads.
 
 Snapshots are plain, picklable, JSON-able value objects
 (:class:`MetricsSnapshot`) supporting difference (``minus``) and sum
@@ -133,7 +132,7 @@ AUDIT_SOLVE = "audit_direct_solve"
 
 #: Simulation-observability counters (PR 5; see
 #: :mod:`repro.circuit.diagnostics` and :mod:`repro.circuit.lint`).
-#: These are *observational* -- the instrumentation shim excludes the
+#: These are *observational* -- :func:`is_solver_counter` excludes the
 #: ``circuit_*`` / ``netlist_lint*`` families from the zero-solve
 #: totals, the same way it excludes ``table_lookup*``.
 TRANSIENT_STEPS = "circuit_transient_steps"
@@ -583,8 +582,7 @@ class metrics_meter:
 
         Purely observational families (:data:`OBSERVATIONAL_PREFIXES`:
         ``table_lookup*``, ``circuit_*``, ``netlist_lint*``) are
-        excluded, matching the instrumentation shim's zero-solve
-        semantics: a warm lookup or a netlist lint is not solver work.
+        excluded: a warm lookup or a netlist lint is not solver work.
         """
         return sum(
             v for k, v in self.delta.counters.items()

@@ -9,7 +9,6 @@ Also exercises the interrupted-build resume on real field-solver jobs.
 
 import pytest
 
-from repro import instrumentation
 from repro.clocktree.extractor import ClocktreeRLCExtractor
 from repro.constants import GHz, um
 from repro.core.extraction import TableBasedExtractor
@@ -22,6 +21,7 @@ from repro.library import (
     build_library,
     standard_clocktree_jobs,
 )
+from repro.telemetry import LOOP_SOLVE, get_registry, metrics_meter
 
 WIDTHS = [um(6), um(10), um(14)]
 LENGTHS = [um(500), um(1500), um(3000), um(5000)]
@@ -52,7 +52,7 @@ class TestWarmExtraction:
         assert extractor.resistance_table is not None
         assert extractor.capacitance_table is not None
 
-        with instrumentation.solver_call_meter() as meter:
+        with metrics_meter() as meter:
             for segment in htree.segments:
                 rlc = extractor.segment_rlc_for(segment)
                 assert rlc.inductance > 0.0
@@ -65,7 +65,7 @@ class TestWarmExtraction:
 
     def test_warm_full_experiment_zero_solver_calls(self, warm_library):
         root, htree, _ = warm_library
-        with instrumentation.solver_call_meter() as meter:
+        with metrics_meter() as meter:
             result = run_htree_skew(htree=htree, library=root)
         assert meter.total == 0, meter.counts
         assert result.rlc_skew > 0.0
@@ -73,9 +73,9 @@ class TestWarmExtraction:
     def test_cold_extraction_does_solve(self, warm_library):
         _, htree, frequency = warm_library
         cold = ClocktreeRLCExtractor(htree.config, frequency=frequency)
-        with instrumentation.solver_call_meter() as meter:
+        with metrics_meter() as meter:
             cold.segment_rlc(um(2000))
-        assert meter.counts.get(instrumentation.LOOP_SOLVE, 0) >= 1
+        assert meter.counts.get(LOOP_SOLVE, 0) >= 1
 
     def test_warm_matches_cold_within_spline_error(self, warm_library):
         root, htree, frequency = warm_library
@@ -92,7 +92,7 @@ class TestWarmExtraction:
     def test_table_based_extractor_from_library(self, warm_library):
         root, htree, frequency = warm_library
         tbe = TableBasedExtractor.from_library(root, htree.config, frequency)
-        with instrumentation.solver_call_meter() as meter:
+        with metrics_meter() as meter:
             value = tbe.loop_inductance(um(10), um(2000))
         assert value > 0.0
         assert meter.total == 0
@@ -129,20 +129,18 @@ class TestResumeWithRealJobs:
 
         runner = BuildRunner(tmp_path / "kit", parallel=False,
                              progress=interrupt)
-        instrumentation.reset_solver_calls()
+        get_registry().reset()
         with pytest.raises(KeyboardInterrupt):
             runner.build(jobs)
-        first_pass = instrumentation.solver_call_count(
-            instrumentation.LOOP_SOLVE)
+        first_pass = get_registry().counter_value(LOOP_SOLVE)
         assert first_pass == interrupted_at
         checkpoint = runner.library.checkpoint_path(job.job_id)
         assert checkpoint.exists()
 
         # resume: only the remaining points are solved
-        instrumentation.reset_solver_calls()
+        get_registry().reset()
         stats = build_library(tmp_path / "kit", jobs, parallel=False)
-        second_pass = instrumentation.solver_call_count(
-            instrumentation.LOOP_SOLVE)
+        second_pass = get_registry().counter_value(LOOP_SOLVE)
         assert second_pass == job.num_points() - interrupted_at
         assert stats.points_resumed == interrupted_at
         assert not checkpoint.exists()

@@ -14,12 +14,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.constants import um
 from repro.errors import GeometryError, SolverError
 from repro.geometry.primitives import Point3D, RectBar
-from repro.instrumentation import (
-    LP_MEMO_HIT,
-    LP_PAIR_EVAL,
-    memo_hit_rate,
-    solver_call_meter,
-)
 from repro.peec.kernel import (
     DEDUP_MIN_FILAMENTS,
     ImpedanceFactorization,
@@ -30,7 +24,13 @@ from repro.peec.kernel import (
     signature_keys,
     signature_stats,
 )
-from repro.telemetry import LP_DEDUP_BYPASS
+from repro.telemetry import (
+    LP_DEDUP_BYPASS,
+    LP_MEMO_HIT,
+    LP_PAIR_EVAL,
+    get_registry,
+    metrics_meter,
+)
 from repro.peec.mesh import mesh_bar
 from repro.peec.network import FilamentNetwork
 from repro.peec.solver import Conductor, PartialInductanceSolver
@@ -192,9 +192,9 @@ class TestSignatureStatsAndCounters:
     def test_pair_eval_counter_reduced_by_dedup(self):
         bars = dyadic_array(nx=6, ny=4)
         with lp_memo_disabled():
-            with solver_call_meter() as naive_meter:
+            with metrics_meter() as naive_meter:
                 assemble_partial_inductance_matrix(bars, method="naive")
-            with solver_call_meter() as dedup_meter:
+            with metrics_meter() as dedup_meter:
                 assemble_partial_inductance_matrix(
                     bars, method="dedup", dedup_min=1
                 )
@@ -215,7 +215,7 @@ class TestDedupBypass:
         bars = meshed_bars()  # 8 filaments, below DEDUP_MIN_FILAMENTS
         assert len(bars) < DEDUP_MIN_FILAMENTS
         with lp_memo_disabled():
-            with solver_call_meter() as meter:
+            with metrics_meter() as meter:
                 got = assemble_partial_inductance_matrix(bars, method="dedup")
         assert meter.counts.get(LP_DEDUP_BYPASS, 0) == 1
         # the bypass evaluates the full n x n broadcast
@@ -225,7 +225,7 @@ class TestDedupBypass:
     def test_memo_backed_block_never_bypasses(self):
         bars = meshed_bars()
         cache = LpMemoCache()
-        with solver_call_meter() as meter:
+        with metrics_meter() as meter:
             assemble_partial_inductance_matrix(bars, memo=cache)
         assert meter.counts.get(LP_DEDUP_BYPASS, 0) == 0
         assert len(cache) > 0
@@ -235,7 +235,7 @@ class TestDedupBypass:
         bars = list(mesh_bar(parent, n_width=8, n_thickness=4).filaments)
         assert len(bars) >= DEDUP_MIN_FILAMENTS
         with lp_memo_disabled():
-            with solver_call_meter() as meter:
+            with metrics_meter() as meter:
                 assemble_partial_inductance_matrix(bars, method="dedup")
         assert meter.counts.get(LP_DEDUP_BYPASS, 0) == 0
         assert meter.counts[LP_PAIR_EVAL] < len(bars) ** 2
@@ -306,10 +306,10 @@ class TestLpMemoCache:
         bars = meshed_bars(origin=Point3D(0, um(123), 0))
         lp_memo_cache().clear()
         assemble_partial_inductance_matrix(bars)
-        with solver_call_meter() as meter:
+        with metrics_meter() as meter:
             assemble_partial_inductance_matrix(bars)
         assert meter.counts.get(LP_MEMO_HIT, 0) > 0
-        assert memo_hit_rate() > 0.0
+        assert get_registry().snapshot().memo_hit_rate > 0.0
 
     def test_disabled_context_bypasses_global(self):
         bars = [bar(), bar(um(7))]

@@ -3,7 +3,7 @@
 The acceptance test for the PR lives here: repeated identical
 ``/extract`` requests against a live server are served from the result
 cache with **zero** field/loop-solver invocations, proven via
-``solver_call_count``.
+``metrics_meter``.
 """
 
 import http.client
@@ -17,8 +17,8 @@ import urllib.request
 
 import pytest
 
-from repro import instrumentation
 from repro.serve import ExtractionService, start_server
+from repro.telemetry import metrics_meter
 
 
 @pytest.fixture
@@ -113,13 +113,13 @@ class TestCacheEconomics:
         assert status == 200
         assert first["cache"]["hit"] is False
 
-        instrumentation.reset_solver_calls()
-        status, second = post(server.url + "/extract", request)
+        with metrics_meter() as meter:
+            status, second = post(server.url + "/extract", request)
         assert status == 200
         assert second["cache"]["hit"] is True
         assert second["result"] == first["result"]
         # the acceptance criterion: zero solver work on the cached path
-        assert instrumentation.solver_call_count() == 0
+        assert meter.total == 0, meter.counts
         assert service.cache.hits >= 1
 
     def test_concurrent_identical_requests_compute_once(self, server,

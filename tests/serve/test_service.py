@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro import instrumentation
 from repro.constants import GHz
 from repro.errors import ServeError
 from repro.serve import ExtractionService
 from repro.serve.cache import result_key
+from repro.telemetry import metrics_meter
 
 KIT_FREQUENCY = GHz(3.2)  # matches the conftest kit build
 
@@ -66,7 +66,7 @@ class TestDispatch:
     def test_cached_request_is_solver_free(self, service):
         request = {"root_length_um": 3000.0, "levels": 2}
         service.handle("extract", request)
-        with instrumentation.solver_call_meter() as meter:
+        with metrics_meter() as meter:
             envelope = service.handle("extract", request)
         assert envelope["cache"]["hit"]
         assert meter.total == 0, meter.counts
@@ -74,7 +74,7 @@ class TestDispatch:
     def test_warm_kit_extract_is_solver_free_even_cold_cache(self, service):
         # the acceptance economics: tables answer everything, the cache
         # only removes the spline+netlist work
-        with instrumentation.solver_call_meter() as meter:
+        with metrics_meter() as meter:
             envelope = service.handle(
                 "extract", {"root_length_um": 2000.0, "levels": 3})
         assert not envelope["cache"]["hit"]
@@ -288,6 +288,6 @@ class TestHealthAndMetrics:
 
     def test_serve_counters_are_observational(self, service):
         # serve_* counters must never count as solver work
-        instrumentation.reset_solver_calls()
-        service.handle("extract", {"root_length_um": 1500.0})
-        assert instrumentation.solver_call_count() == 0
+        with metrics_meter() as meter:
+            service.handle("extract", {"root_length_um": 1500.0})
+        assert meter.total == 0, meter.counts

@@ -1,9 +1,9 @@
 """Warm-library zero-solve acceptance, asserted through the registry.
 
-The legacy ``instrumentation.solver_call_meter`` version of this claim
-lives in ``tests/library/test_integration.py``; this one goes straight
-at the ``repro.telemetry`` registry the shim now delegates to, so the
-guarantee survives even if the shim is ever removed.
+``tests/library/test_integration.py`` asserts this claim through the
+solver-only ``metrics_meter.total``; this one checks the loop, partial
+and 2-D field solver counters one by one, and that warm lookups still
+record their latency histograms.
 """
 
 import pytest

@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import ALIASES, build_parser, main
+
+
+def _completed_run(scenario):
+    """The one ledger run an alias recorded for *scenario*."""
+    from repro.scenarios import RunLedger, default_ledger_root
+
+    ledger = RunLedger(default_ledger_root(), create=False)
+    entries = ledger.entries(scenario=scenario)
+    assert [e.status for e in entries] == ["completed"]
+    return ledger.load_run(entries[0].run_id)
 
 
 class TestParser:
@@ -12,10 +22,24 @@ class TestParser:
 
     def test_known_commands(self):
         parser = build_parser()
-        for command in ("fig1", "fig5", "table1", "scaling", "skew",
-                        "variation", "accuracy"):
-            args = parser.parse_args([command])
+        assert [alias.command for alias in ALIASES] == [
+            "fig1", "fig5", "table1", "scaling", "skew",
+            "variation", "accuracy", "crosstalk"]
+        for alias in ALIASES:
+            args = parser.parse_args([alias.command])
             assert callable(args.func)
+            assert args.alias is alias
+
+    @pytest.mark.parametrize("alias", ALIASES, ids=lambda a: a.command)
+    def test_alias_flags_map_to_scenario_params(self, alias):
+        from repro.scenarios import get_scenario
+
+        scenario = get_scenario(alias.scenario)  # raises when unregistered
+        for option, param, _scale, _help in alias.flags:
+            assert param in scenario.defaults, (option, param)
+        # unset flags pass nothing: the scenario defaults apply
+        args = build_parser().parse_args([alias.command])
+        assert alias.overrides(args) == {}
 
     def test_skew_has_no_solver_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -40,35 +64,69 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "2.2" in out or "2.3" in out
         assert "Super-linear" in out
+        _completed_run("length-scaling")
 
     def test_table1_runs(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
         assert "fig6a" in out
         assert "fig6b" in out
+        _completed_run("table1-cascading")
 
     def test_fig5_runs(self, capsys):
         assert main(["fig5", "--traces", "3"]) == 0
         out = capsys.readouterr().out
         assert "Foundation 1" in out
         assert "Foundation 2" in out
+        assert _completed_run("fig5-foundations")["params"]["N_TRACES"] == 3
 
     def test_accuracy_runs(self, capsys):
         assert main(["accuracy"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "characterization time" in out
+        _completed_run("table-accuracy")
 
     def test_variation_runs(self, capsys):
         assert main(["variation"]) == 0
         out = capsys.readouterr().out
         assert "L spread" in out or "L is" in out
+        _completed_run("process-variation")
 
     def test_crosstalk_runs(self, capsys):
         assert main(["crosstalk", "--traces", "5", "--length", "800"]) == 0
         out = capsys.readouterr().out
         assert "aggressor T3" in out
         assert "mV" in out
+        params = _completed_run("bus-crosstalk")["params"]
+        assert params["N_TRACES"] == 5
+        assert params["LENGTH"] == 8e-4  # --length is in um
+        assert params["WIDTH"] == 2e-6  # unset: the scenario default
+
+    def test_alias_bad_library_is_usage_error(self, tmp_path, capsys):
+        assert main(["skew", "--library", str(tmp_path / "no-kit")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "build one with `repro library build --root DIR`" in err
+
+    def test_alias_failed_run_exits_1(self, monkeypatch, capsys):
+        from repro import cli
+        from repro.scenarios import Scenario, register, unregister
+
+        def boom(params, session):
+            raise RuntimeError("injected failure")
+
+        register(Scenario(name="test-alias-boom", figure="test",
+                          description="t", run=boom))
+        monkeypatch.setattr(cli, "ALIASES", cli.ALIASES + (
+            cli.Alias("boom", "test-alias-boom", "always fails"),))
+        try:
+            assert main(["boom"]) == 1
+        finally:
+            unregister("test-alias-boom")
+        err = capsys.readouterr().err
+        assert err.startswith("FAILED: ")
+        assert "injected failure" in err
 
     def test_spice_export(self, tmp_path, capsys):
         path = tmp_path / "tree.sp"

@@ -224,14 +224,14 @@ class TestSkipIfDone:
         assert calls["n"] == 2
 
     def test_zero_solver_calls_on_skip(self, ledger):
-        from repro.instrumentation import solver_call_count
+        from repro.telemetry import metrics_meter
 
         run_scenario("fig1-delay", {"SECTIONS": "4"}, ledger=ledger)
-        before = solver_call_count()
-        outcome = run_scenario("fig1-delay", {"SECTIONS": "4"},
-                               ledger=ledger)
+        with metrics_meter() as meter:
+            outcome = run_scenario("fig1-delay", {"SECTIONS": "4"},
+                                   ledger=ledger)
         assert outcome.skipped
-        assert solver_call_count() == before  # provably zero field solves
+        assert meter.total == 0, meter.counts  # provably zero field solves
         assert outcome.metrics["delay_ratio"] > 1.0
 
 
