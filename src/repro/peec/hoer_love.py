@@ -157,6 +157,13 @@ def canonical_pair_parameters(l1, w1, t1, l2, w2, t2, ox, oy, oz):
     return out_l1, out_w1, out_t1, out_l2, out_w2, out_t2, out_ox, out_oy, out_oz
 
 
+#: Pairs per stacked evaluation.  A chunk's 64 second-difference
+#: corners go through one :func:`_primitive` call, so every temporary
+#: holds ``64 * _PAIR_CHUNK`` floats (512 KiB); large broadcasts (a naive
+#: n x n assembly) are walked chunk by chunk to keep that bound.
+_PAIR_CHUNK = 1024
+
+
 def mutual_inductance_batch(
     x1, l1, y1, w1, z1, t1,
     x2, l2, y2, w2, z2, t2,
@@ -167,7 +174,8 @@ def mutual_inductance_batch(
     ``[xi, xi+li] x [yi, yi+wi] x [zi, zi+ti]``.  All twelve arguments
     broadcast together, so a full Lp matrix can be assembled with one call
     on meshgrid-style inputs.  Passing the same geometry for both bars
-    yields the exact self partial inductance.
+    yields the exact self partial inductance.  Non-finite arguments raise
+    :class:`~repro.errors.GeometryError`.
 
     Every pair is evaluated in a canonical frame: bar 1 is re-anchored at
     the origin (the integral is translation invariant, and forming the
@@ -182,7 +190,23 @@ def mutual_inductance_batch(
     """
     args = [np.asarray(a, dtype=float) for a in
             (x1, l1, y1, w1, z1, t1, x2, l2, y2, w2, z2, t2)]
-    x1, l1, y1, w1, z1, t1, x2, l2, y2, w2, z2, t2 = np.broadcast_arrays(*args)
+    if not all(np.all(np.isfinite(a)) for a in args):
+        raise GeometryError("bar positions and extents must be finite")
+    args = np.broadcast_arrays(*args)
+    shape = args[0].shape
+    chunks = [
+        _mutual_chunk(*(a.flat[start:start + _PAIR_CHUNK] for a in args))
+        for start in range(0, args[0].size, _PAIR_CHUNK)
+    ]
+    exact = np.concatenate(chunks) if chunks else np.zeros(0)
+    if not shape:
+        return float(exact[0])
+    return exact.reshape(shape)
+
+
+def _mutual_chunk(x1, l1, y1, w1, z1, t1, x2, l2, y2, w2, z2, t2):
+    """:func:`mutual_inductance_batch` on 1-D arrays of at most
+    :data:`_PAIR_CHUNK` pairs."""
     ox = x2 - x1 + 0.0
     oy = y2 - y1 + 0.0
     oz = z2 - z1 + 0.0
@@ -203,12 +227,29 @@ def mutual_inductance_batch(
     x2, y2, z2 = ox * inv, oy * inv, oz * inv
     l2, w2, t2 = l2 * inv, w2 * inv, t2 * inv
 
+    # The 4 x 4 x 4 corners of the sextuple second difference, stacked
+    # x-major into one (4, 4, 4, m) evaluation of the primitive.  The
+    # corner coordinates enter as broadcast (4, 1, 1, m)-style arrays,
+    # so per-axis powers are computed once per axis corner.
+    axes = (_axis_points(x1, l1, x2, l2),
+            _axis_points(y1, w1, y2, w2),
+            _axis_points(z1, t1, z2, t2))
+    vx, vy, vz = (np.stack([value for value, _ in axis]) for axis in axes)
+    values = _primitive(vx[:, None, None], vy[None, :, None],
+                        vz[None, None, :]).reshape(64, ox.size)
+    # Signed rows summed one at a time in corner order: the float sum
+    # does not depend on how the pairs were chunked or batched.  Adding
+    # -v is subtracting v, so the +-1 signs need no multiply.
     total = 0.0
-    for vx, sx in _axis_points(x1, l1, x2, l2):
-        for vy, sy in _axis_points(y1, w1, y2, w2):
-            partial_sign = sx * sy
-            for vz, sz in _axis_points(z1, t1, z2, t2):
-                total = total + (partial_sign * sz) * _primitive(vx, vy, vz)
+    corner = 0
+    for _, sx in axes[0]:
+        for _, sy in axes[1]:
+            for _, sz in axes[2]:
+                if sx * sy * sz > 0.0:
+                    total = total + values[corner]
+                else:
+                    total = total - values[corner]
+                corner += 1
 
     area_product = w1 * t1 * w2 * t2
     exact = (MU_0 / (4.0 * math.pi)) * total / area_product * scale
@@ -225,8 +266,6 @@ def mutual_inductance_batch(
     if np.any(use_filament):
         filament = _filament_mutual(x1, l1, x2, l2, distance) * scale
         exact = np.where(use_filament, filament, exact)
-    if np.ndim(exact) == 0:
-        return float(exact)
     return exact
 
 

@@ -3,10 +3,11 @@
 The cold cost of table characterization is concentrated in two places:
 
 1. **Assembly** -- filling the dense filament partial-inductance matrix
-   costs one Hoer-Love closed-form evaluation (64 primitive calls) per
-   filament pair, O(n^2) of them.  But the Neumann integral is symmetric
-   and translation invariant: a pair is determined by its two
-   cross-sections plus a relative offset.  On the regular / graded
+   costs one Hoer-Love closed-form evaluation (64 corner values of the
+   primitive, evaluated stacked) per filament pair, O(n^2) of them.
+   But the Neumann integral is symmetric and translation invariant: a
+   pair is determined by its two cross-sections plus a relative
+   offset.  On the regular / graded
    meshes produced by :func:`repro.peec.mesh.mesh_bar` and on
    strip-meshed ground planes, huge numbers of pairs are congruent.
    :func:`assemble_partial_inductance_matrix` canonicalizes every
@@ -256,6 +257,25 @@ def _pair_signatures(frames: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.nd
     return iu, ju, np.column_stack(columns)
 
 
+def _unique_rows(signatures: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Lexicographically sorted unique rows and the inverse map.
+
+    The result of ``np.unique(signatures, axis=0, return_inverse=True)``
+    from one column ``lexsort``: ``np.unique`` sorts the rows as
+    structured records, which costs more than evaluating the unique
+    pairs once the Hoer-Love kernel is stacked.
+    """
+    m = signatures.shape[0]
+    order = np.lexsort(signatures.T[::-1])
+    ordered = signatures[order]
+    first = np.empty(m, dtype=bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def _evaluate_signatures(signatures: np.ndarray) -> np.ndarray:
     """One Hoer-Love evaluation per canonical signature row."""
     if signatures.size == 0:
@@ -299,8 +319,7 @@ def _assemble_block_dedup(
         return _assemble_block_naive(frames)
     iu, ju, signatures = _pair_signatures(frames)
     get_registry().inc(LP_PAIR_TOTAL, signatures.shape[0])
-    unique, inverse = np.unique(signatures, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy >= 2.0 returns the input shape
+    unique, inverse = _unique_rows(signatures)
     values = np.empty(unique.shape[0])
     if memo is not None:
         keys = signature_keys(unique)
@@ -410,7 +429,7 @@ def signature_stats(bars: Sequence[RectBar]) -> Dict[str, float]:
         frames = np.array([_bar_to_x_frame(bars[i]) for i in indices])
         _, _, signatures = _pair_signatures(frames)
         total += signatures.shape[0]
-        unique_total += np.unique(signatures, axis=0).shape[0]
+        unique_total += _unique_rows(signatures)[0].shape[0]
     return {
         "pairs": float(total),
         "unique_signatures": float(unique_total),

@@ -157,6 +157,17 @@ class TestSolvePoints:
         assert inductance == pytest.approx(l_direct)
         assert resistance == pytest.approx(r_direct)
 
+    @pytest.mark.parametrize("point, golden", [
+        ((um(10), um(2000)), (5.332724755586527e-10, 4.85483135472559)),
+        ((um(6), um(6000)), (1.7050261983696877e-09, 17.92769224430688)),
+    ])
+    def test_loop_point_golden(self, point, golden):
+        # recorded from the per-corner Hoer-Love loop the stacked
+        # kernel replaced; a tolerance, not bit equality, because the
+        # suite runs on several numpy / scipy versions
+        values = loop_job().solve_point(point)
+        np.testing.assert_allclose(values, golden, rtol=1e-12, atol=0.0)
+
     def test_total_cap_point_positive(self):
         job = TotalCapacitanceJob(config=cpw(), widths=(um(6), um(10)),
                                   spacings=(um(1), um(2)), nx=40, nz=30)

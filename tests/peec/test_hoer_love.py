@@ -12,6 +12,7 @@ from repro.peec.analytic import (
     mutual_inductance_filaments,
 )
 from repro.peec.hoer_love import (
+    _PAIR_CHUNK,
     bar_mutual_inductance,
     bar_self_inductance,
     mutual_inductance_batch,
@@ -149,6 +150,99 @@ class TestBatchEvaluation:
         )
         assert np.isfinite(value)
         assert value > 0
+
+
+class TestNonFiniteInput:
+    """The batch API rejects what :class:`RectBar` already rejects."""
+
+    GOOD = (0.0, 1e-3, 0.0, um(1), 0.0, um(1),
+            0.0, 1e-3, um(3), um(1), 0.0, um(1))
+
+    def _with(self, index, value):
+        args = list(self.GOOD)
+        args[index] = value
+        return args
+
+    def test_infinite_length_rejected(self):
+        with pytest.raises(GeometryError, match="finite"):
+            mutual_inductance_batch(*self._with(7, np.inf))
+
+    def test_nan_offset_rejected(self):
+        with pytest.raises(GeometryError, match="finite"):
+            mutual_inductance_batch(*self._with(8, np.nan))
+
+    def test_infinite_offset_rejected(self):
+        with pytest.raises(GeometryError, match="finite"):
+            mutual_inductance_batch(*self._with(0, -np.inf))
+
+    def test_one_bad_pair_in_a_batch_rejected(self):
+        ys = np.array([um(3), np.nan, um(9)])
+        with pytest.raises(GeometryError, match="finite"):
+            mutual_inductance_batch(*self._with(8, ys))
+
+
+def _mixed_pairs(n, seed=0):
+    """*n* pairs spanning near, touching, self and far (filament) cases."""
+    rng = np.random.default_rng(seed)
+    l1 = rng.uniform(um(5), um(3000), n)
+    w1 = rng.uniform(um(0.2), um(12), n)
+    t1 = rng.uniform(um(0.2), um(3), n)
+    l2 = np.where(rng.random(n) < 0.3, l1, rng.uniform(um(5), um(3000), n))
+    w2 = rng.uniform(um(0.2), um(12), n)
+    t2 = rng.uniform(um(0.2), um(3), n)
+    x1 = rng.uniform(-um(50), um(50), n)
+    y1 = rng.uniform(-um(50), um(50), n)
+    z1 = rng.uniform(-um(5), um(5), n)
+    reach = np.where(rng.random(n) < 0.2, um(5000), um(30))
+    x2 = x1 + rng.uniform(-1, 1, n) * reach
+    y2 = y1 + rng.uniform(-1, 1, n) * reach
+    z2 = z1 + rng.uniform(-1, 1, n) * um(6)
+    same = rng.random(n) < 0.1
+    x2, y2, z2 = (np.where(same, a, b) for a, b in ((x1, x2), (y1, y2), (z1, z2)))
+    l2, w2, t2 = (np.where(same, a, b) for a, b in ((l1, l2), (w1, w2), (t1, t2)))
+    return [x1, l1, y1, w1, z1, t1, x2, l2, y2, w2, z2, t2]
+
+
+class TestStackedEvaluationBitwise:
+    """The 64 corner evaluations of a chunk are stacked, and large
+    batches are split into chunks; neither may change any bit."""
+
+    def test_whole_reversed_and_pairwise_agree(self):
+        args = _mixed_pairs(300)
+        whole = mutual_inductance_batch(*args)
+        reversed_ = mutual_inductance_batch(*(a[::-1] for a in args))[::-1]
+        pairwise = np.array([
+            mutual_inductance_batch(*(float(a[i]) for a in args))
+            for i in range(300)
+        ])
+        assert np.all(np.isfinite(whole))
+        assert whole.tobytes() == reversed_.tobytes()
+        assert whole.tobytes() == pairwise.tobytes()
+
+    @pytest.mark.parametrize("size", [_PAIR_CHUNK - 1, _PAIR_CHUNK,
+                                      _PAIR_CHUNK + 1])
+    def test_chunk_boundaries(self, size):
+        args = _mixed_pairs(2 * _PAIR_CHUNK + 3, seed=1)
+        whole = mutual_inductance_batch(*args)
+        part = mutual_inductance_batch(*(a[:size] for a in args))
+        tail = mutual_inductance_batch(*(a[size:] for a in args))
+        assert part.shape == (size,)
+        assert whole[:size].tobytes() == part.tobytes()
+        assert whole[size:].tobytes() == tail.tobytes()
+
+    def test_broadcast_shape_preserved(self):
+        # a 2-D batch larger than one chunk, walked in flat order
+        cols = _PAIR_CHUNK // 2 + 1
+        args = _mixed_pairs(3 * cols, seed=2)
+        flat = mutual_inductance_batch(*args)
+        grid = mutual_inductance_batch(*(a.reshape(3, cols) for a in args))
+        assert grid.shape == (3, cols)
+        assert grid.ravel().tobytes() == flat.tobytes()
+
+    def test_empty_batch(self):
+        empty = np.zeros(0)
+        out = mutual_inductance_batch(*([empty] * 12))
+        assert out.shape == (0,)
 
 
 class TestEnergyConsistency:

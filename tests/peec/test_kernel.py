@@ -14,10 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.constants import um
 from repro.errors import GeometryError, SolverError
 from repro.geometry.primitives import Point3D, RectBar
+from repro.peec.hoer_love import _bar_to_x_frame
 from repro.peec.kernel import (
     DEDUP_MIN_FILAMENTS,
     ImpedanceFactorization,
     LpMemoCache,
+    _pair_signatures,
+    _unique_rows,
     assemble_partial_inductance_matrix,
     lp_memo_cache,
     lp_memo_disabled,
@@ -257,6 +260,31 @@ class TestSignatureKeys:
 
     def test_empty(self):
         assert signature_keys(np.empty((0, 9))) == []
+
+
+class TestUniqueRows:
+    """The lexsort dedup returns exactly what ``np.unique(axis=0)`` does."""
+
+    def _check(self, signatures):
+        unique, inverse = _unique_rows(signatures)
+        ref_unique, ref_inverse = np.unique(
+            signatures, axis=0, return_inverse=True)
+        assert unique.tobytes() == ref_unique.tobytes()
+        np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
+        np.testing.assert_array_equal(unique[inverse], signatures)
+
+    def test_random_rows_with_repeats(self):
+        rng = np.random.default_rng(7)
+        pool = rng.integers(-2, 3, size=(40, 9)).astype(float)
+        self._check(pool[rng.integers(0, 40, size=500)])
+
+    def test_mesh_pair_signatures(self):
+        frames = np.array([_bar_to_x_frame(b) for b in meshed_bars(6, 3)])
+        _, _, signatures = _pair_signatures(frames)
+        self._check(signatures)
+
+    def test_single_row(self):
+        self._check(np.arange(9.0).reshape(1, 9))
 
 
 class TestLpMemoCache:

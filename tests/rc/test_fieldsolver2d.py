@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.constants import EPS_0, EPS_R_SIO2, um
 from repro.errors import GeometryError, SolverError
 from repro.geometry.trace import TraceBlock
 from repro.rc.capacitance import ground_capacitance
+from repro.rc import fieldsolver2d
 from repro.rc.fieldsolver2d import ConductorRect, CrossSection2D, FieldSolver2D
 
 
@@ -47,6 +49,56 @@ class TestGeometryValidation:
                     ConductorRect("c", um(4), um(5), um(1), um(2)),
                 ],
             )
+
+    @pytest.mark.parametrize("edges", [
+        (np.nan, um(2), um(1), um(2)),
+        (um(1), np.inf, um(1), um(2)),
+        (um(1), um(2), -np.inf, um(2)),
+        (um(1), um(2), um(1), np.nan),
+    ])
+    def test_non_finite_conductor_rejected(self, edges):
+        with pytest.raises(GeometryError, match="non-finite"):
+            ConductorRect("c", *edges)
+
+    @pytest.mark.parametrize("width, height", [
+        (np.nan, um(10)), (um(10), np.nan), (np.inf, um(10)), (um(10), np.inf),
+    ])
+    def test_non_finite_window_rejected(self, width, height):
+        with pytest.raises(GeometryError, match="finite"):
+            CrossSection2D(width=width, height=height)
+
+    def test_overlapping_conductors_rejected(self):
+        # 5 um^2 of shared area would rasterize into one conductor and
+        # come back as a 2 x 2 "Maxwell matrix"
+        with pytest.raises(GeometryError, match="overlap"):
+            CrossSection2D(
+                width=um(20), height=um(10),
+                conductors=[
+                    ConductorRect("a", um(2), um(7), um(2), um(4)),
+                    ConductorRect("b", um(4.5), um(9), um(1), um(6)),
+                ],
+            )
+
+    def test_contained_conductor_rejected(self):
+        with pytest.raises(GeometryError, match="overlap"):
+            CrossSection2D(
+                width=um(20), height=um(10),
+                conductors=[
+                    ConductorRect("outer", um(2), um(9), um(1), um(6)),
+                    ConductorRect("inner", um(4), um(5), um(2), um(3)),
+                ],
+            )
+
+    def test_touching_conductors_allowed(self):
+        cs = CrossSection2D(
+            width=um(20), height=um(10),
+            conductors=[
+                ConductorRect("a", um(2), um(5), um(2), um(3)),
+                ConductorRect("b", um(5), um(8), um(2), um(3)),
+                ConductorRect("c", um(5), um(8), um(3), um(4)),
+            ],
+        )
+        assert len(cs.conductors) == 3
 
     def test_tiny_conductor_still_resolved(self):
         # the boundary-fitted grid guarantees every conductor lands on
@@ -112,3 +164,46 @@ class TestThreeLines:
     def test_diagonally_dominant(self, matrix):
         for i in range(3):
             assert matrix[i, i] >= -np.sum(matrix[i]) + matrix[i, i] - 1e-18
+
+
+class TestFactorOnce:
+    def test_three_conductors_one_factorization(self, monkeypatch):
+        calls = []
+        real_splu = fieldsolver2d.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(fieldsolver2d, "splu", counting_splu)
+        solver = FieldSolver2D(three_line_cs(), nx=48, nz=36)
+        first = solver.capacitance_matrix()
+        assert len(calls) == 1
+        # the factor belongs to the geometry: a second solve reuses it
+        again = solver.capacitance_matrix()
+        assert len(calls) == 1
+        assert first.tobytes() == again.tobytes()
+
+
+class TestGolden:
+    """Maxwell matrix of the standard CPW (10 um signal, 5 um grounds,
+    1 um spacing, 2 um thick, 2 um over the plane) at the 48 x 36 kit
+    grid, recorded from the per-drive ``spsolve`` implementation the
+    factor-once solver replaced."""
+
+    GOLDEN = np.array([
+        [3.596873188369531e-10, -1.7720657754002996e-10, -2.9920433250195972e-12],
+        [-1.7720657754002996e-10, 5.605914935944885e-10, -1.7720657754002996e-10],
+        [-2.9920433250195972e-12, -1.7720657754002996e-10, 3.596873188369529e-10],
+    ])
+
+    def test_standard_cpw_48x36(self):
+        config = CoplanarWaveguideConfig(
+            signal_width=um(10), ground_width=um(5), spacing=um(1),
+            thickness=um(2), height_below=um(2),
+        )
+        cross_section = config.cross_section()
+        assert [c.name for c in cross_section.conductors] == [
+            "GND_L", "SIG", "GND_R"]
+        matrix = FieldSolver2D(cross_section, nx=48, nz=36).capacitance_matrix()
+        np.testing.assert_allclose(matrix, self.GOLDEN, rtol=1e-12, atol=0.0)
