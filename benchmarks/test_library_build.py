@@ -26,6 +26,7 @@ from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.clocktree.extractor import ClocktreeRLCExtractor
 from repro.constants import GHz, um
 from repro.library import LoopTableJob, TableLibrary, build_library
+from repro.peec.kernel import lp_memo_cache
 from repro.telemetry import metrics_meter
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_library.json"
@@ -58,10 +59,15 @@ def _record(update: dict) -> dict:
 
 def test_serial_vs_parallel_build(tmp_path):
     """Process-pool fan-out vs the in-process loop on the same grid."""
+    # Both arms start from a cold process-wide Lp memo: the pool forks
+    # from this process, so a memo warmed by the serial arm would hand
+    # the pool arm every pair evaluation for free.
+    lp_memo_cache().clear()
     t0 = time.perf_counter()
     serial_stats = build_library(tmp_path / "serial", _jobs(), parallel=False)
     serial_time = time.perf_counter() - t0
 
+    lp_memo_cache().clear()
     t0 = time.perf_counter()
     parallel_stats = build_library(tmp_path / "parallel", _jobs(),
                                    workers=WORKERS, parallel=True)

@@ -347,7 +347,7 @@ def _parse_sweep_spec(args: argparse.Namespace):
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.errors import ScenarioError
+    from repro.errors import ScenarioError, WorkerLostError
     from repro.scenarios import RunLedger, SweepRunner, default_ledger_root
 
     def show_progress(p) -> None:
@@ -373,6 +373,9 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WorkerLostError as exc:
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return 1
 
     code = 1 if report.failed_count else 0
     if args.telemetry:
@@ -522,26 +525,9 @@ def _library_config(args: argparse.Namespace):
 
 
 def _cmd_library_build(args: argparse.Namespace) -> int:
+    """Bad request: exit 2 (``error:``); dead pool worker: 1 (``FAILED:``)."""
+    from repro.errors import ReproError, WorkerLostError
     from repro.library import BuildRunner, standard_clocktree_jobs
-
-    auditor = None
-    if args.audit:
-        from repro.quality import TableAuditor
-
-        auditor = TableAuditor(
-            samples=args.audit_samples, error_budget=args.audit_budget,
-        )
-
-    config = _library_config(args)
-    jobs = standard_clocktree_jobs(
-        config,
-        frequency=GHz(args.frequency),
-        widths=[um(w) for w in args.widths],
-        lengths=[um(l) for l in args.lengths],
-        spacings=[um(s) for s in args.cap_spacings] if args.cap_spacings else None,
-        layer=args.layer,
-        name_prefix=args.name_prefix,
-    )
 
     def progress(tick):
         eta = tick.eta_seconds
@@ -551,15 +537,42 @@ def _cmd_library_build(args: argparse.Namespace) -> int:
               f"eta {eta_text}, memo {tick.memo_hit_rate:4.0%})",
               end="\r", flush=True)
 
-    runner = BuildRunner(
-        args.root,
-        workers=args.workers,
-        parallel=not args.serial,
-        progress=progress if not args.quiet else None,
-        auditor=auditor,
-        disk_memo=args.disk_memo,
-    )
-    stats = runner.build(jobs)
+    try:
+        auditor = None
+        if args.audit:
+            from repro.quality import TableAuditor
+
+            auditor = TableAuditor(
+                samples=args.audit_samples, error_budget=args.audit_budget,
+            )
+        jobs = standard_clocktree_jobs(
+            _library_config(args),
+            frequency=GHz(args.frequency),
+            widths=[um(w) for w in args.widths],
+            lengths=[um(l) for l in args.lengths],
+            spacings=([um(s) for s in args.cap_spacings]
+                      if args.cap_spacings else None),
+            layer=args.layer,
+            name_prefix=args.name_prefix,
+        )
+        runner = BuildRunner(
+            args.root,
+            workers=args.workers,
+            parallel=not args.serial,
+            progress=progress if not args.quiet else None,
+            auditor=auditor,
+            disk_memo=args.disk_memo,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        stats = runner.build(jobs)
+    except WorkerLostError as exc:
+        if not args.quiet:
+            print()
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return 1
     if not args.quiet:
         print()
     session = getattr(args, "_telemetry_session", None)
@@ -570,8 +583,8 @@ def _cmd_library_build(args: argparse.Namespace) -> int:
         session.add_worker_spans(stats.worker_spans)
         session.add_meta(
             library_root=str(args.root),
-            workers=runner.effective_workers if runner.parallel else 1,
-            parallel=runner.parallel,
+            workers=runner.workers,
+            parallel=runner.workers > 1,
             build_summary=stats.summary(),
         )
         if stats.health:

@@ -65,6 +65,20 @@ class ScenarioError(ReproError):
     """A scenario, its parameters, or a run-ledger query is invalid."""
 
 
+class WorkerLostError(ReproError):
+    """A pool worker died; ``completed`` of ``total`` tasks were folded.
+
+    Raised by :func:`repro.fanout.fan_out` in place of the pool's
+    ``BrokenProcessPool``; the folded results are kept, so a re-run
+    resumes from them.
+    """
+
+    def __init__(self, message: str, completed: int = 0, total: int = 0):
+        super().__init__(message)
+        self.completed = int(completed)
+        self.total = int(total)
+
+
 class ScenarioRunError(ScenarioError):
     """A scenario run raised; the failure was recorded in the ledger.
 

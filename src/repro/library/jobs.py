@@ -19,7 +19,7 @@ needs --
 
 Jobs are frozen dataclasses holding only picklable state (structure
 configs are themselves frozen dataclasses), so they travel to
-``ProcessPoolExecutor`` workers unchanged -- no lambdas, no bound
+process-pool workers unchanged -- no lambdas, no bound
 methods, no function-local imports.
 """
 

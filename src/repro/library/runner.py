@@ -6,15 +6,14 @@
 
 * **Skip what is built.** A job whose output tables are all present in
   the library (by content key) costs one manifest lookup.
-* **Fan out.** Remaining grid points are solved concurrently on a
-  ``ProcessPoolExecutor`` (each point is an independent field solve, so
-  the problem is embarrassingly parallel).  Points are submitted in
-  contiguous *chunks* so the per-task dispatch cost is amortized and
-  neighboring grid points land in the same worker, where the PEEC
-  kernel's partial-inductance memo cache reuses their shared geometry.
-  ``workers=1`` (explicitly or effectively, e.g. a 1-CPU machine) or
-  ``parallel=False`` degrades to a deterministic in-process loop with
-  no pool at all.
+* **Fan out.** Remaining grid points (independent field solves) go
+  through :func:`repro.fanout.fan_out` in contiguous *chunks*, so the
+  per-task dispatch cost is amortized and neighboring grid points land
+  in the same pool worker, where the PEEC kernel's partial-inductance
+  memo cache reuses their shared geometry.  With one worker (``workers=1``,
+  a 1-CPU machine, or ``parallel=False``) the chunks are single points
+  solved in-process.  A dead worker raises
+  :class:`~repro.errors.WorkerLostError`.
 * **Checkpoint.** Every completed point is appended as one JSON line to
   ``<library>/checkpoints/<job_id>.jsonl`` and flushed, so a build
   killed mid-grid resumes from exactly the solved set -- only the
@@ -24,7 +23,7 @@
   wall times, and a ``progress`` callback streams live completion
   (fraction done, points/sec, ETA, memo hit rate).
 * **Aggregate.** Counters tick in whichever process does the work, so a
-  parallel build's solver activity would be invisible to the parent.
+  pooled build's solver activity would be invisible to the parent.
   Each pool task therefore ships back the worker's
   :class:`~repro.telemetry.MetricsSnapshot` *delta* and drained span
   tree along with its results; the parent folds them into
@@ -45,12 +44,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TableError
+from repro.fanout import fan_out
 from repro.library.jobs import CharacterizationJob
 from repro.library.store import TableLibrary, open_library
 from repro.telemetry import (
@@ -228,27 +227,20 @@ class BuildStats:
 
 @dataclass(frozen=True)
 class ChunkResult:
-    """What one pool task ships back to the build parent.
+    """What one chunk task hands back to the build parent.
 
     Everything is plain picklable data: the solved ``(index, values)``
-    pairs, the chunk's wall time and worker pid, the worker-registry
-    metric *delta* accumulated while solving (serialized via
+    pairs, the chunk's wall time, the worker-registry metric *delta*
+    accumulated while solving (serialized via
     :meth:`~repro.telemetry.MetricsSnapshot.to_dict`), and the span
-    trees the chunk produced.
+    trees the chunk produced.  An in-process chunk carries neither
+    delta nor spans: the parent's registry and tracer already hold them.
     """
 
-    results: List[Tuple[int, List[float]]]
+    results: List[Tuple[int, Tuple[float, ...]]]
     wall_time: float
-    pid: int
-    metrics: dict
-    spans: List[dict]
-
-
-def _solve_point_task(
-    job: CharacterizationJob, index: int, point: Tuple[float, ...]
-) -> Tuple[int, Tuple[float, ...]]:
-    """Module-level worker entry point (picklable for the process pool)."""
-    return index, job.solve_point(point)
+    metrics: Optional[dict] = None
+    spans: List[dict] = field(default_factory=list)
 
 
 #: Disk-memo shard paths this worker process has already warmed from;
@@ -270,8 +262,9 @@ def _solve_chunk_task(
     indices: Sequence[int],
     points: Sequence[Tuple[float, ...]],
     disk_memo: Optional[str] = None,
+    in_worker: bool = True,
 ) -> ChunkResult:
-    """Solve a chunk of grid points in one worker task.
+    """Solve a chunk of grid points in one task.
 
     Chunking amortizes the per-task pickle/dispatch overhead and --
     more importantly -- keeps neighboring grid points in the same
@@ -279,12 +272,26 @@ def _solve_chunk_task(
     shared filament-pair geometry across them
     (:meth:`CharacterizationJob.solve_points`).
 
-    The chunk is wrapped in a ``library.chunk`` span, and the worker
-    registry's metric delta over the chunk travels back with the
-    results -- the parent merges it into the build totals without ever
-    polluting its own registry.
+    In a pool worker the chunk is wrapped in a ``library.chunk`` span,
+    and the worker registry's metric delta over the chunk travels back
+    with the results -- the parent merges it into the build totals
+    without ever polluting its own registry.  In-process
+    (``in_worker=False``) the task leaves the parent's tracer, registry
+    and disk memo alone: they already see the work, and
+    :meth:`BuildRunner.build` warms and flushes the memo itself.
     """
     from repro.telemetry.logs import correlation_scope, get_logger
+
+    # The chunk id (job prefix + index range) is this chunk's
+    # correlation id: it rides on the ``library.chunk`` span shipped
+    # back to the parent and on every log record the chunk emits.
+    chunk_id = f"{job.job_id[:12]}.{indices[0]}-{indices[-1]}"
+    t0 = time.perf_counter()
+    if not in_worker:
+        with correlation_scope(chunk_id=chunk_id):
+            values = job.solve_points(points)
+        return ChunkResult(list(zip(indices, values)),
+                           time.perf_counter() - t0)
 
     registry = get_registry()
     tracer = get_tracer()
@@ -294,13 +301,8 @@ def _solve_chunk_task(
     tracer.clear_stack()
     tracer.reset()
     start = registry.snapshot()
-    t0 = time.perf_counter()
     if disk_memo is not None:
         _warm_worker_memo(disk_memo)
-    # The chunk id (job prefix + index range) is this chunk's
-    # correlation id: it rides on the ``library.chunk`` span shipped
-    # back to the parent and on every log record the chunk emits.
-    chunk_id = f"{job.job_id[:12]}.{indices[0]}-{indices[-1]}"
     with correlation_scope(chunk_id=chunk_id):
         with tracer.span("library.chunk", job=job.kind, points=len(indices)):
             values = job.solve_points(points)
@@ -316,16 +318,10 @@ def _solve_chunk_task(
         from repro.peec.diskmemo import flush_lp_memo
 
         flush_lp_memo(disk_memo)
-    wall = time.perf_counter() - t0
-    delta = registry.snapshot().minus(start)
     return ChunkResult(
-        results=[
-            (int(i), [float(v) for v in vals])
-            for i, vals in zip(indices, values)
-        ],
-        wall_time=wall,
-        pid=os.getpid(),
-        metrics=delta.to_dict(),
+        results=list(zip(indices, values)),
+        wall_time=time.perf_counter() - t0,
+        metrics=registry.snapshot().minus(start).to_dict(),
         spans=[sp.to_dict() for sp in tracer.drain()],
     )
 
@@ -384,10 +380,10 @@ class BuildRunner:
         Target :class:`TableLibrary` (or its root path; created if
         missing).
     workers:
-        Process count for parallel builds; ``None`` uses the CPU count.
+        Process count for pooled builds; ``None`` uses the CPU count.
     parallel:
-        ``False`` forces the in-process serial path (deterministic, no
-        fork -- what the tests use).
+        ``False`` forces one worker: the in-process path (deterministic,
+        no fork -- what the tests use).
     progress:
         Optional callback receiving a :class:`JobProgress` after every
         completed point.  Raising from the callback aborts the build;
@@ -421,27 +417,21 @@ class BuildRunner:
         workers: Optional[int] = None,
         parallel: bool = True,
         progress: Optional[ProgressFn] = None,
-        chunk_size: Optional[int] = None,
         auditor=None,
         disk_memo: Optional[Union[str, Path]] = None,
     ):
         if workers is not None and workers < 1:
             raise TableError("workers must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise TableError("chunk_size must be >= 1")
         self.library = open_library(library, create=True)
-        self.workers = workers
-        self.chunk_size = chunk_size
+        #: Effective worker count; 1 runs every point in-process (a
+        #: pool of one process buys no concurrency but still pays fork
+        #: + pickle per task).
+        self.workers = (
+            (workers if workers is not None else (os.cpu_count() or 1))
+            if parallel else 1
+        )
         self.auditor = auditor
         self.disk_memo = str(disk_memo) if disk_memo is not None else None
-        # Resolve the worker count up front: requesting a pool of one
-        # process buys no concurrency but still pays fork + pickle per
-        # task, so an effective single worker degrades to the serial
-        # in-process path.
-        self.effective_workers = (
-            workers if workers is not None else (os.cpu_count() or 1)
-        )
-        self.parallel = parallel and self.effective_workers > 1
         self.progress = progress
 
     # ------------------------------------------------------------------
@@ -494,14 +484,24 @@ class BuildRunner:
             if remaining:
                 checkpoint.parent.mkdir(parents=True, exist_ok=True)
                 with open(checkpoint, "a", encoding="utf-8") as log:
-                    def record(index: int, values: Tuple[float, ...]) -> None:
-                        values = [float(v) for v in values]
-                        done[index] = values
-                        log.write(json.dumps({"i": index, "v": values}) + "\n")
-                        log.flush()
-                        os.fsync(log.fileno())
-                        job_stats.points_solved += 1
-                        if self.progress is not None:
+                    def fold(chunk: ChunkResult) -> None:
+                        job_stats.chunk_wall_times.append(chunk.wall_time)
+                        registry.observe(BUILD_CHUNK_SECONDS,
+                                         chunk.wall_time)
+                        if chunk.metrics is not None:
+                            job_stats.add_worker_snapshot(
+                                MetricsSnapshot.from_dict(chunk.metrics))
+                        job_stats.worker_spans.extend(chunk.spans)
+                        for index, values in chunk.results:
+                            values = [float(v) for v in values]
+                            done[index] = values
+                            log.write(json.dumps({"i": index, "v": values})
+                                      + "\n")
+                            log.flush()
+                            os.fsync(log.fileno())
+                            job_stats.points_solved += 1
+                            if self.progress is None:
+                                continue
                             job_stats.metrics = registry.snapshot().minus(
                                 start_snapshot
                             )
@@ -516,12 +516,21 @@ class BuildRunner:
                                 ),
                             ))
 
-                    if self.parallel:
-                        self._run_parallel(job, points, remaining, record,
-                                           job_stats)
-                    else:
-                        self._run_serial(job, points, remaining, record,
-                                         job_stats)
+                    # Pool chunks are contiguous index runs; in-process
+                    # chunks are single points, so checkpoints and
+                    # progress ticks stay per point either way.
+                    chunks = (
+                        _chunk_indices(remaining,
+                                       self.workers * self.CHUNKS_PER_WORKER)
+                        if self.workers > 1 else [[i] for i in remaining]
+                    )
+                    fan_out(
+                        _solve_chunk_task,
+                        [(job, chunk, [points[i] for i in chunk],
+                          self.disk_memo) for chunk in chunks],
+                        self.workers,
+                        fold,
+                    )
 
             job_stats.metrics = registry.snapshot().minus(start_snapshot)
             # Fix wall time before finalization so the manifest summary
@@ -534,96 +543,6 @@ class BuildRunner:
             )
         job_stats.wall_time = time.perf_counter() - t0
         return job_stats
-
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self,
-        job: CharacterizationJob,
-        points: Sequence[Tuple[float, ...]],
-        remaining: Sequence[int],
-        record: Callable[[int, Tuple[float, ...]], None],
-        job_stats: JobStats,
-    ) -> None:
-        """In-process deterministic loop; each point is a work unit."""
-        from repro.telemetry.logs import correlation_scope
-
-        registry = get_registry()
-        for index in remaining:
-            # Same correlation shape as the pool path, one point wide.
-            with correlation_scope(chunk_id=f"{job.job_id[:12]}.{index}"):
-                t0 = time.perf_counter()
-                values = job.solve_point(points[index])
-                wall = time.perf_counter() - t0
-            job_stats.chunk_wall_times.append(wall)
-            registry.observe(BUILD_CHUNK_SECONDS, wall)
-            record(index, values)
-
-    # ------------------------------------------------------------------
-    def _run_parallel(
-        self,
-        job: CharacterizationJob,
-        points: Sequence[Tuple[float, ...]],
-        remaining: Sequence[int],
-        record: Callable[[int, Tuple[float, ...]], None],
-        job_stats: JobStats,
-    ) -> None:
-        """Fan chunked point solves over a process pool, recording as they land.
-
-        Grid points are submitted in contiguous chunks rather than one
-        task per point: each task then amortizes its dispatch cost over
-        many solves, and neighboring points stay in one worker where the
-        kernel memo cache turns their shared filament-pair geometry into
-        cache hits.  Checkpointing still happens per *point* as each
-        chunk's results are recorded.
-
-        Each :class:`ChunkResult` also carries the worker's metric delta
-        and span tree for the chunk; they are folded into *job_stats*
-        (not the parent registry -- per-process counter semantics stay
-        intact) and the chunk wall time lands in both
-        ``job_stats.chunk_wall_times`` and the parent's
-        ``build_chunk_seconds`` histogram.
-        """
-        if self.chunk_size is not None:
-            n_chunks = -(-len(remaining) // self.chunk_size)  # ceil div
-        else:
-            n_chunks = self.effective_workers * self.CHUNKS_PER_WORKER
-        chunks = _chunk_indices(list(remaining), n_chunks)
-        try:
-            executor = ProcessPoolExecutor(max_workers=self.workers)
-        except (OSError, ValueError):  # pragma: no cover - constrained envs
-            self._run_serial(job, points, remaining, record, job_stats)
-            return
-        registry = get_registry()
-        with executor:
-            pending = {
-                executor.submit(
-                    _solve_chunk_task, job, chunk,
-                    [points[i] for i in chunk],
-                    self.disk_memo,
-                )
-                for chunk in chunks
-            }
-            try:
-                while pending:
-                    finished, pending = wait(pending,
-                                             return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        chunk_result = future.result()
-                        job_stats.chunk_wall_times.append(
-                            chunk_result.wall_time
-                        )
-                        registry.observe(BUILD_CHUNK_SECONDS,
-                                         chunk_result.wall_time)
-                        job_stats.add_worker_snapshot(
-                            MetricsSnapshot.from_dict(chunk_result.metrics)
-                        )
-                        job_stats.worker_spans.extend(chunk_result.spans)
-                        for index, values in chunk_result.results:
-                            record(index, values)
-            except BaseException:
-                for future in pending:
-                    future.cancel()
-                raise
 
     # ------------------------------------------------------------------
     def _finalize_job(

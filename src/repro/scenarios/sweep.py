@@ -22,10 +22,13 @@ Observability is campaign-level:
 * the finished campaign persists as a first-class
   :class:`~repro.scenarios.campaign.CampaignReport` in the ledger.
 
-Workers follow the library BuildRunner pattern: each point task runs in
-a forked pool process, measures its own registry *delta*, and ships it
-back for the parent to fold via ``MetricsSnapshot.merged`` -- parent
-counters never mix with worker counters.
+Points fan out through :func:`repro.fanout.fan_out`, the executor the
+library BuildRunner uses too: each point task runs in a forked pool
+process, measures its own registry *delta*, and ships it back for the
+parent to fold via ``MetricsSnapshot.merged`` -- parent counters never
+mix with worker counters.  A worker that dies raises
+:class:`~repro.errors.WorkerLostError`; the points it did not take down
+are already in the ledger, so re-issuing the sweep replays them.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ import itertools
 import random
 import re
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ScenarioError, ScenarioRunError
+from repro.fanout import fan_out
 from repro.library.store import cache_key
 from repro.scenarios.campaign import CampaignReport
 from repro.scenarios.ledger import RunLedger
@@ -256,7 +259,7 @@ class SweepSpec:
 
 
 # ----------------------------------------------------------------------
-# the per-point task (module-level: picklable for the process pool)
+# the per-point task (module-level: picklable for fan_out's pool)
 # ----------------------------------------------------------------------
 def _sweep_point_task(
     scenario_name: str,
@@ -275,6 +278,7 @@ def _sweep_point_task(
     metric delta travels back in ``row["telemetry"]`` for the parent to
     merge, mirroring the library build chunk task.
     """
+    from repro.scenarios.runner import run_scenario
     from repro.telemetry.logs import sweep_scope
     from repro.telemetry.spans import get_tracer
 
@@ -301,9 +305,12 @@ def _sweep_point_task(
     }
     with sweep_scope(sweep_id[:12], point=str(index)):
         try:
-            outcome = run_scenario_for_sweep(
+            outcome = run_scenario(
                 scenario_name, overrides,
-                ledger_root=ledger_root, force=force, index=index)
+                ledger=RunLedger(Path(ledger_root)),
+                force=force,
+                command=f"repro sweep {scenario_name}#{index}",
+            )
             row.update(
                 params=dict(outcome.params),
                 run_id=outcome.run_id,
@@ -321,20 +328,6 @@ def _sweep_point_task(
     row["wall"] = time.perf_counter() - t0
     row["telemetry"] = registry.snapshot().minus(start).to_dict()
     return row
-
-
-def run_scenario_for_sweep(scenario_name: str,
-                           overrides: Dict[str, object],
-                           *, ledger_root: str, force: bool, index: int):
-    """One point through the ordinary ledger runner, sweep-labelled."""
-    from repro.scenarios.runner import run_scenario
-
-    return run_scenario(
-        scenario_name, overrides,
-        ledger=RunLedger(Path(ledger_root)),
-        force=force,
-        command=f"repro sweep {scenario_name}#{index}",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +402,8 @@ class SweepRunner:
         Target :class:`RunLedger` (default: ``$REPRO_LEDGER`` /
         ``.repro/runs``).  Points and the campaign record land here.
     workers:
-        Process count; 1 (the default) runs points serially in-process.
+        Process count (>= 1); 1 (the default) runs points serially
+        in-process.
     force:
         Re-execute points even when the ledger already has them.
     progress:
@@ -431,7 +425,9 @@ class SweepRunner:
         self.scenario = scenario
         self.ledger = ledger if ledger is not None else RunLedger(
             default_ledger_root())
-        self.workers = max(1, int(workers))
+        if workers < 1:
+            raise ScenarioError(f"workers must be >= 1, got {workers}")
+        self.workers = int(workers)
         self.force = force
         self.progress = progress
         if not (self.spec.grid or self.spec.explicit or self.spec.mc):
@@ -495,14 +491,14 @@ class SweepRunner:
                 force=self.force,
             )
             _publish_gauges(tick(), running=True)
-            if effective_workers <= 1:
-                for index, overrides in enumerate(self.points):
-                    fold(_sweep_point_task(
-                        self.spec.scenario, overrides,
-                        str(self.ledger.root), self.force, sweep_id,
-                        index, in_worker=False))
-            else:
-                self._run_parallel(sweep_id, effective_workers, fold)
+            fan_out(
+                _sweep_point_task,
+                [(self.spec.scenario, overrides, str(self.ledger.root),
+                  self.force, sweep_id, index)
+                 for index, overrides in enumerate(self.points)],
+                effective_workers,
+                fold,
+            )
             duration = time.perf_counter() - t0
             final = tick()
             _publish_gauges(final, running=False)
@@ -530,36 +526,6 @@ class SweepRunner:
         )
         self.ledger.record_campaign(report)
         return report
-
-    # ------------------------------------------------------------------
-    def _run_parallel(self, sweep_id: str, workers: int,
-                      fold: Callable[[dict], None]) -> None:
-        """Fan points over a process pool, folding rows as they land."""
-        try:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, ValueError):  # pragma: no cover - constrained envs
-            for index, overrides in enumerate(self.points):
-                fold(_sweep_point_task(
-                    self.spec.scenario, overrides, str(self.ledger.root),
-                    self.force, sweep_id, index, in_worker=False))
-            return
-        with executor:
-            pending = {
-                executor.submit(
-                    _sweep_point_task, self.spec.scenario, overrides,
-                    str(self.ledger.root), self.force, sweep_id, index)
-                for index, overrides in enumerate(self.points)
-            }
-            try:
-                while pending:
-                    finished, pending = wait(
-                        pending, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        fold(future.result())
-            except BaseException:
-                for future in pending:
-                    future.cancel()
-                raise
 
 
 def run_sweep(spec: SweepSpec, **kwargs) -> CampaignReport:

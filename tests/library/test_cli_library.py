@@ -1,5 +1,10 @@
 """The `repro library` command-line surface."""
 
+import multiprocessing
+import os
+import re
+import signal
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -81,3 +86,46 @@ class TestExecution:
         blob.write_text(blob.read_text()[:-30])
         assert main(["library", "verify", "--root", str(built_root)]) == 1
         assert "mismatch" in capsys.readouterr().out
+
+
+class TestBuildErrors:
+    BUILD = ["library", "build", "--widths", "6", "10",
+             "--lengths", "500", "2000", "--quiet"]
+
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys):
+        assert main(self.BUILD + ["--root", str(tmp_path / "kit"),
+                                  "--workers", "0"]) == 2
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+
+    def test_one_point_axis_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["library", "build", "--root", str(tmp_path / "kit"),
+                     "--widths", "6", "--lengths", "500", "2000",
+                     "--serial", "--quiet"]) == 2
+        assert "error: axis 'width' needs at least two points" in \
+            capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method(allow_none=False) != "fork",
+        reason="the patched solve reaches pool workers through fork")
+    def test_killed_worker_fails_then_resumes(self, tmp_path, capsys,
+                                              monkeypatch):
+        from repro.library import LoopTableJob, TableLibrary
+
+        parent = os.getpid()
+        solve = LoopTableJob.solve_point
+
+        def killing_solve(self, point):
+            if os.getpid() != parent and point == self.points()[-1]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return solve(self, point)
+
+        root = str(tmp_path / "kit")
+        monkeypatch.setattr(LoopTableJob, "solve_point", killing_solve)
+        assert main(self.BUILD + ["--root", root, "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FAILED: a pool worker died")
+        assert "Traceback" not in err
+        monkeypatch.undo()
+        assert main(self.BUILD + ["--root", root, "--serial"]) == 0
+        assert re.search(r"solved, [1-3] resumed", capsys.readouterr().out)
+        assert TableLibrary(root, create=False).verify() == []

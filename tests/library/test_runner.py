@@ -1,17 +1,22 @@
 """BuildRunner: warm skips, checkpoints, interrupted-build resume."""
 
 import json
+import multiprocessing
+import os
+import signal
 from dataclasses import dataclass
 from typing import Tuple
 
 import pytest
 
-from repro.errors import TableError
+from repro.errors import TableError, WorkerLostError
 from repro.library.jobs import CharacterizationJob, JobOutput
 from repro.library.runner import BuildRunner, build_library
 from repro.library.store import TableLibrary
 
 SOLVE_LOG = []
+_PARENT_PID = os.getpid()
+_FORK = multiprocessing.get_start_method(allow_none=False) == "fork"
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,9 @@ class StubJob(CharacterizationJob):
     frequency: float = 1e9
     layer: str = "M1"
     fail_at: int = -1  # solve index that raises, -1 = never
+    # Grid point whose pool worker SIGKILLs itself; not part of the job's
+    # content key, so a clean job resumes the killed job's checkpoint.
+    kill_at: Tuple[float, ...] = ()
 
     kind = "stub"
 
@@ -50,6 +58,8 @@ class StubJob(CharacterizationJob):
         SOLVE_LOG.append(point)
         if 0 <= self.fail_at == len(SOLVE_LOG) - 1:
             raise RuntimeError("simulated solver crash")
+        if point == self.kill_at and os.getpid() != _PARENT_PID:
+            os.kill(os.getpid(), signal.SIGKILL)
         width, length = point
         return (width * length, width * length + 1.0)
 
@@ -215,14 +225,13 @@ class TestParallelBuild:
         # module-global SOLVE_LOG of *this* process, which a pool worker
         # (separate interpreter) never would.
         runner = BuildRunner(tmp_path / "kit", workers=1, parallel=True)
-        assert runner.parallel is False
-        assert runner.effective_workers == 1
+        assert runner.workers == 1
         runner.build([StubJob()])
         assert len(SOLVE_LOG) == 6
 
-    def test_chunk_size_validation(self, tmp_path):
-        with pytest.raises(TableError):
-            BuildRunner(tmp_path / "kit", chunk_size=0)
+    def test_parallel_false_forces_one_worker(self, tmp_path):
+        assert BuildRunner(tmp_path / "kit", workers=4,
+                           parallel=False).workers == 1
 
     def test_chunked_parallel_build_solves_every_point(self, tmp_path):
         job = StubJob()
@@ -233,18 +242,60 @@ class TestParallelBuild:
         assert table.lookup(width=2.0, length=10.0) == pytest.approx(20.0)
         assert lib.verify() == []
 
-    def test_explicit_chunk_size_matches_serial(self, tmp_path):
-        job = StubJob()
+    def test_multi_point_chunks_match_serial(self, tmp_path):
+        job = StubJob(widths=(1.0, 2.0, 3.0, 4.0, 5.0),
+                      lengths=(10.0, 20.0, 30.0, 40.0))
         build_library(tmp_path / "serial", [job], parallel=False)
-        runner = BuildRunner(tmp_path / "chunk", workers=2, chunk_size=4)
-        runner.build([job])
+        stats = build_library(tmp_path / "chunk", [job], workers=2)
+        # 20 points over 2 * CHUNKS_PER_WORKER chunks: several per chunk
+        assert len(stats.chunk_wall_times) == \
+            2 * BuildRunner.CHUNKS_PER_WORKER < job.num_points()
         import numpy as np
 
-        key = job.table_key("stub_r")
-        np.testing.assert_allclose(
-            TableLibrary(tmp_path / "serial", create=False).get(key).values,
-            TableLibrary(tmp_path / "chunk", create=False).get(key).values,
-        )
+        for name in ("stub_l", "stub_r"):
+            key = job.table_key(name)
+            np.testing.assert_array_equal(
+                TableLibrary(tmp_path / "serial",
+                             create=False).get(key).values,
+                TableLibrary(tmp_path / "chunk", create=False).get(key).values,
+            )
+
+
+@pytest.mark.skipif(not _FORK, reason="the killing stub job relies on "
+                    "fork-inherited module state in pool workers")
+class TestWorkerLoss:
+    GRID = dict(widths=(1.0, 2.0, 3.0, 4.0), lengths=(10.0, 20.0, 30.0))
+
+    def test_killed_worker_is_typed_and_resumable(self, tmp_path):
+        clean = StubJob(**self.GRID)
+        # (4.0, 20.0) is index 10, in the last of the 8 pool chunks
+        job = StubJob(**self.GRID, kill_at=(4.0, 20.0))
+        assert job.job_id == clean.job_id
+        runner = BuildRunner(tmp_path / "kit", workers=2)
+        with pytest.raises(WorkerLostError, match="resumes") as lost:
+            runner.build([job])
+        assert lost.value.total == 2 * BuildRunner.CHUNKS_PER_WORKER
+        assert 1 <= lost.value.completed < lost.value.total
+        lines = runner.library.checkpoint_path(
+            job.job_id).read_text().splitlines()
+        saved = {json.loads(line)["i"] for line in lines}
+        assert len(saved) == len(lines) >= lost.value.completed
+        assert 10 not in saved
+
+        # the re-run solves exactly the points the checkpoint lacks
+        stats = build_library(tmp_path / "kit", [clean], parallel=False)
+        assert stats.points_resumed == len(saved)
+        assert SOLVE_LOG == [p for i, p in enumerate(clean.points())
+                             if i not in saved]
+        build_library(tmp_path / "ref", [clean], parallel=False)
+        import numpy as np
+
+        for name in ("stub_l", "stub_r"):
+            key = clean.table_key(name)
+            np.testing.assert_array_equal(
+                TableLibrary(tmp_path / "kit", create=False).get(key).values,
+                TableLibrary(tmp_path / "ref", create=False).get(key).values,
+            )
 
 
 class TestChunking:

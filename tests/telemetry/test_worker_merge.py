@@ -16,7 +16,7 @@ import pytest
 from repro.library.jobs import CharacterizationJob, JobOutput
 from repro.library.runner import BuildRunner, JobProgress
 from repro.library.store import TableLibrary
-from repro.telemetry import get_registry
+from repro.telemetry import TABLE_BUILD_POINT, get_registry
 
 TICK = "stub_worker_tick"
 
@@ -58,6 +58,13 @@ class TickingJob(CharacterizationJob):
         return (width * length,)
 
 
+#: A 20-point grid: two workers cut it into more than one point per chunk.
+GRID_JOB = TickingJob(widths=(1.0, 2.0, 3.0, 4.0, 5.0),
+                      lengths=(10.0, 20.0, 30.0, 40.0))
+POINTS = GRID_JOB.num_points()
+CHUNKS = min(POINTS, 2 * BuildRunner.CHUNKS_PER_WORKER)
+
+
 @pytest.fixture(autouse=True)
 def clean_registry():
     get_registry().reset()
@@ -67,34 +74,34 @@ def clean_registry():
 
 class TestParallelAggregation:
     def test_worker_counters_reach_stats_not_parent_registry(self, tmp_path):
-        runner = BuildRunner(tmp_path / "kit", workers=2, chunk_size=2)
-        stats = runner.build([TickingJob()])
-        assert stats.points_solved == 6
+        runner = BuildRunner(tmp_path / "kit", workers=2)
+        stats = runner.build([GRID_JOB])
+        assert stats.points_solved == POINTS
         # the parent process never ran solve_point ...
         assert get_registry().counter_value(TICK) == 0
-        # ... but the report-side merge sees all six worker ticks
-        assert stats.worker_metrics.counter(TICK) == 6
+        # ... but the report-side merge sees every worker tick
+        assert stats.worker_metrics.counter(TICK) == POINTS
 
     def test_chunk_wall_times_and_worker_spans(self, tmp_path):
-        runner = BuildRunner(tmp_path / "kit", workers=2, chunk_size=2)
-        stats = runner.build([TickingJob()])
+        runner = BuildRunner(tmp_path / "kit", workers=2)
+        stats = runner.build([GRID_JOB])
         walls = stats.chunk_wall_times
-        assert len(walls) == 3  # 6 points / chunk_size 2
+        assert CHUNKS < POINTS
+        assert len(walls) == CHUNKS  # workers * CHUNKS_PER_WORKER
         assert all(w >= 0.0 for w in walls)
         names = [s["name"] for s in stats.worker_spans]
         assert names and set(names) == {"library.chunk"}
         assert sum(s["metrics"].get(TICK, 0)
-                   for s in stats.worker_spans) == 6
+                   for s in stats.worker_spans) == POINTS
 
     def test_manifest_carries_telemetry_summary(self, tmp_path):
-        job = TickingJob()
-        runner = BuildRunner(tmp_path / "kit", workers=2, chunk_size=2)
-        runner.build([job])
+        runner = BuildRunner(tmp_path / "kit", workers=2)
+        runner.build([GRID_JOB])
         lib = TableLibrary(tmp_path / "kit", create=False)
-        entry = lib.entry(job.table_key("tick_l"))
+        entry = lib.entry(GRID_JOB.table_key("tick_l"))
         summary = entry.metadata["telemetry"]
-        assert summary["points_solved"] == 6
-        assert summary["chunks"] == 3
+        assert summary["points_solved"] == POINTS
+        assert summary["chunks"] == CHUNKS
         assert summary["build_seconds"] > 0.0
 
     def test_serial_build_counts_in_parent(self, tmp_path):
@@ -103,6 +110,9 @@ class TestParallelAggregation:
         assert get_registry().counter_value(TICK) == 6
         assert stats.worker_metrics is None  # nothing came from a pool
         assert len(stats.chunk_wall_times) == 6  # per-point in serial mode
+        # serial points go through solve_points like pooled ones
+        points = get_registry().snapshot().histogram(TABLE_BUILD_POINT)
+        assert points is not None and points.count == 6
 
 
 class TestProgressThroughput:

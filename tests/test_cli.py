@@ -561,6 +561,37 @@ class TestSweepCLI:
         assert main(["sweep", "report", "nope",
                      "--ledger", str(tmp_path / "absent")]) == 2
         assert "no run ledger" in capsys.readouterr().err
+        assert main(["sweep", "run", "test-cli-sweep", "--grid", "X=1,2",
+                     "--workers", "0",
+                     "--ledger", ledger, "--quiet"]) == 2
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+
+    def test_sweep_killed_worker_exits_failed(self, toy, tmp_path, capsys):
+        import multiprocessing
+        import os
+        import signal
+
+        from repro.scenarios import Scenario, register, unregister
+
+        if multiprocessing.get_start_method(allow_none=False) != "fork":
+            pytest.skip("the killing scenario reaches workers through fork")
+        parent = os.getpid()
+
+        def killing_run(params, session):
+            if os.getpid() != parent and params["X"] == 2.0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return {"delay_seconds": params["X"] * 2.0}
+
+        unregister("test-cli-sweep")
+        register(Scenario(name="test-cli-sweep", figure="test",
+                          description="toy", defaults={"X": 1.0},
+                          run=killing_run))
+        assert main(["sweep", "run", "test-cli-sweep", "--grid", "X=1,2",
+                     "--workers", "2", "--ledger", str(tmp_path / "ledger"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FAILED: a pool worker died")
+        assert "Traceback" not in err
 
     def test_runs_list_and_show_json(self, toy, tmp_path, capsys):
         import json

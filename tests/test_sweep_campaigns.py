@@ -2,11 +2,14 @@
 
 import json
 import multiprocessing
+import os
 import random
+import signal
+import time
 
 import pytest
 
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, WorkerLostError
 from repro.scenarios import (
     CampaignReport,
     MonteCarloAxis,
@@ -51,6 +54,46 @@ def toy_scenario():
         yield scenario
     finally:
         unregister("test-sweep-toy")
+
+
+#: Set by the killer fixture; forked pool workers inherit it.
+_KILL = {}
+
+
+def _killer_run(params, session):
+    """Toy body whose pool worker SIGKILLs itself at ``X == _KILL["x"]``.
+
+    The killing point first waits until every other point is in the
+    ledger, so exactly those points completed when the worker dies.
+    """
+    get_registry().inc("loop_solve")
+    if params["X"] == _KILL["x"] and os.getpid() != _KILL["parent"]:
+        ledger = RunLedger(_KILL["ledger"])
+        deadline = time.monotonic() + 10.0
+        while (len(ledger.entries()) < _KILL["others"]
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        time.sleep(0.1)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"delay_seconds": params["X"], "count": 1}
+
+
+@pytest.fixture
+def killer_scenario(ledger):
+    register(Scenario(
+        name="test-sweep-killer",
+        figure="test",
+        description="toy sweep scenario that kills its pool worker",
+        defaults={"X": 1.0},
+        run=_killer_run,
+    ))
+    _KILL.update(x=4.0, others=3, parent=os.getpid(),
+                 ledger=str(ledger.root))
+    try:
+        yield
+    finally:
+        _KILL.clear()
+        unregister("test-sweep-killer")
 
 
 @pytest.fixture
@@ -212,6 +255,29 @@ class TestSweepRunner:
         resumed = run_sweep(spec, ledger=ledger, workers=2)
         assert resumed.skipped_count == 4
         assert resumed.solver_call_count == 0
+
+    @pytest.mark.skipif(not _FORK, reason="needs fork start method for "
+                        "runtime-registered scenarios in pool workers")
+    def test_killed_worker_is_typed_and_resumable(self, killer_scenario,
+                                                  ledger):
+        spec = SweepSpec("test-sweep-killer",
+                         grid={"X": [1.0, 2.0, 3.0, 4.0]})
+        with pytest.raises(WorkerLostError, match="resumes"):
+            run_sweep(spec, ledger=ledger, workers=2)
+        completed = {e.run_key for e in ledger.entries()}
+        assert len(completed) == 3
+        assert ledger.campaign_entries() == []
+        # in-process re-run: the killer only fires in pool workers
+        again = run_sweep(spec, ledger=ledger)
+        assert again.completed == 4
+        replayed = {row["run_key"] for row in again.points if row["skipped"]}
+        assert replayed == completed
+        assert again.solver_call_count == 1  # only the lost point ran
+
+    def test_workers_below_one_rejected(self, toy_scenario, ledger):
+        with pytest.raises(ScenarioError, match="workers"):
+            run_sweep(SweepSpec("test-sweep-toy", grid=self.GRID),
+                      ledger=ledger, workers=0)
 
     def test_point_failure_rosters_without_killing_campaign(
             self, toy_scenario, ledger):
