@@ -38,7 +38,7 @@ def build_and_run(stamp_series):
     stamp_series(circuit, "a", "b")
     circuit.add_capacitor("Cline", "b", "0", C_LINE)
     circuit.add_capacitor("CL", "b", "0", C_LOAD)
-    result = transient_analysis(circuit, t_stop=3e-9, dt=0.5e-12)
+    [result] = transient_analysis([circuit], t_stop=3e-9, dt=0.5e-12)
     wave = result.voltage("b")
     return (
         wave.threshold_crossing(SUPPLY / 2.0),

@@ -53,7 +53,7 @@ def _drive_and_measure(circuit, in_node, out_node):
     )
     circuit.add_resistor("Rdrv", "src", in_node, RS)
     circuit.add_capacitor("CL", out_node, "0", CL)
-    result = transient_analysis(circuit, t_stop=1.5e-9, dt=0.5e-12)
+    [result] = transient_analysis([circuit], t_stop=1.5e-9, dt=0.5e-12)
     wave = result.voltage(out_node)
     return (
         wave.threshold_crossing(SUPPLY / 2.0),

@@ -72,7 +72,9 @@ def test_transient_step_throughput(benchmark):
     netlist = extractor.build_netlist(htree)
 
     def run():
-        return transient_analysis(netlist.circuit, t_stop=2e-9, dt=0.5e-12)
+        [result] = transient_analysis([netlist.circuit], t_stop=2e-9,
+                                      dt=0.5e-12)
+        return result
 
     result = benchmark(run)
     assert result.time.size == 4001

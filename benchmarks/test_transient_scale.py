@@ -77,7 +77,7 @@ def _assembled(levels: int, sections: int):
 def _time_transient(assembled, steps: int) -> float:
     t0 = time.perf_counter()
     transient_analysis(
-        assembled, t_stop=ps(1) * steps, dt=ps(1), diagnostics=False,
+        [assembled], t_stop=ps(1) * steps, dt=ps(1), diagnostics=False,
     )
     return time.perf_counter() - t0
 

@@ -62,8 +62,8 @@ def main() -> None:
 
     extractor = MultiLayerClocktreeExtractor(technology, default_layer="M6")
     netlist = extractor.build_netlist(htree)
-    result = simulate_clocktree(netlist, supply=1.8,
-                                t_stop=ps(3000), dt=ps(0.5))
+    [result] = simulate_clocktree([netlist], supply=1.8,
+                                  t_stop=ps(3000), dt=ps(0.5))
     print()
     for sink, delay in sorted(result.delays.items()):
         print(f"  {sink}: insertion delay {to_ps(delay):.2f} ps")

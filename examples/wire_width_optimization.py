@@ -68,7 +68,8 @@ def main() -> None:
         buffer=buffer, sink_capacitance=fF(50),
     )
     netlist = extractor.build_netlist(sized)
-    sim = simulate_clocktree(netlist, supply=1.8, t_stop=ps(3000), dt=ps(0.5))
+    [sim] = simulate_clocktree([netlist], supply=1.8, t_stop=ps(3000),
+                               dt=ps(0.5))
     print()
     print(f"chosen width {best_width * 1e6:.1f} um: analytic "
           f"{to_ps(result.best.path_delay):.1f} ps vs simulated max delay "

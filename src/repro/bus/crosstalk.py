@@ -98,7 +98,7 @@ def crosstalk_analysis(
     if dt is None:
         dt = min(rise_time / 50.0, t_stop / 2000.0)
 
-    result = transient_analysis(circuit, t_stop=t_stop, dt=dt)
+    [result] = transient_analysis([circuit], t_stop=t_stop, dt=dt)
     peaks: Dict[str, float] = {}
     waveforms: Dict[str, Waveform] = {}
     for victim in victims:
@@ -182,7 +182,7 @@ def switching_delay_analysis(
     if dt is None:
         dt = min(rise_time / 50.0, t_stop / 2000.0)
 
-    def victim_delay(neighbour_mode: str) -> float:
+    def switching_deck(neighbour_mode: str):
         netlist = extractor.build_netlist(
             bus, sections=sections,
             include_inductance=include_inductance,
@@ -207,15 +207,17 @@ def switching_delay_analysis(
                                  drive_resistance)
             circuit.add_capacitor(f"Cl_{name}", netlist.output_nodes[name],
                                   "0", load_capacitance)
-        result = transient_analysis(circuit, t_stop=t_stop, dt=dt)
-        wave = result.voltage(netlist.output_nodes[victim])
+        return circuit
+
+    # The three switching patterns share the grid: one transient batch.
+    modes = ("quiet", "in_phase", "anti_phase")
+    results = transient_analysis([switching_deck(mode) for mode in modes],
+                                 t_stop=t_stop, dt=dt)
+    delays = []
+    for result in results:
+        wave = result.voltage(netlist_template.output_nodes[victim])
         crossing = wave.threshold_crossing(supply / 2.0)
         if crossing is None:
             raise CircuitError("victim never crosses 50 %; extend t_stop")
-        return crossing
-
-    return SwitchingDelayResult(
-        quiet_delay=victim_delay("quiet"),
-        in_phase_delay=victim_delay("in_phase"),
-        anti_phase_delay=victim_delay("anti_phase"),
-    )
+        delays.append(crossing)
+    return SwitchingDelayResult(*delays)

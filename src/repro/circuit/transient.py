@@ -7,12 +7,23 @@ The MNA system ``G x + C x' = b(t)`` is integrated on a fixed step:
 * backward Euler (first order, adds numerical damping; useful to confirm
   a suspected numerical oscillation is physical).
 
-The step matrix is factorized once and reused for every step.
+:func:`transient_analysis` integrates a *batch* of decks that share the
+time grid and method -- the paper's RC and RLC netlists of one H-tree,
+or a nominal deck plus its Monte-Carlo samples.  Their ``G`` / ``C``
+stamps form one block-diagonal system, factorized once; every source is
+sampled once on the grid, so a step is one CSR mat-vec, one scatter-add
+of the sampled sources and one sparse solve for the whole batch.  A
+step costs mostly per-call overhead at paper scale, so two decks take
+little longer than one.  Each deck gets its own
+:class:`TransientResult` whose arrays are column views of the shared
+state history.
 
-Observability (PR 5): every run executes under a ``circuit.transient``
-span (matrix size, step count, factorization time) and -- unless
-``diagnostics=False`` -- attaches a
-:class:`~repro.circuit.diagnostics.TransientDiagnostics` to the result:
+Observability: the shared factorization and stepping run under a
+``circuit.batch`` span; each deck then gets its own ``circuit.transient``
+span (its own matrix size and step count, the batch's factorization
+time) and ``circuit_transient_steps`` ticks by the step count once per
+deck.  Unless ``diagnostics=False`` each result carries a
+:class:`~repro.circuit.diagnostics.TransientDiagnostics`:
 step-doubling LTE estimate, energy-balance residual, dt adequacy vs the
 significant frequency, and start-up provenance.  When ``t_stop / dt``
 is not an integer the step is *snapped* (``dt = t_stop / ceil(...)``)
@@ -25,9 +36,10 @@ from __future__ import annotations
 import time as _time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import lsqr
 
 from repro.circuit.backend import factorize, gmin_loaded
@@ -106,15 +118,19 @@ def _snap_steps(t_stop: float, dt: float) -> Tuple[int, float, bool]:
 
 
 def transient_analysis(
-    circuit: Union[Circuit, AssembledCircuit],
+    circuits: Sequence[Union[Circuit, AssembledCircuit]],
     t_stop: float,
     dt: float,
     method: str = "trapezoidal",
     initial: str = "dc",
     diagnostics: bool = True,
     lte_probes: int = 16,
-) -> TransientResult:
-    """Integrate the circuit from 0 to *t_stop* with fixed step *dt*.
+) -> List[TransientResult]:
+    """Integrate a batch of decks from 0 to *t_stop* with fixed step *dt*.
+
+    Every deck in *circuits* shares the time grid, *method* and
+    *initial*; one :class:`TransientResult` per deck comes back, in
+    order.  A single deck is the batch ``[circuit]``.
 
     Parameters
     ----------
@@ -123,17 +139,27 @@ def transient_analysis(
     initial:
         ``"dc"`` starts from the operating point with sources at t = 0
         (the usual SPICE behaviour); ``"zero"`` starts from explicit
-        initial conditions (or all-zero state).
+        initial conditions (or all-zero state).  Such a start need not
+        satisfy the algebraic rows (a source node reads 0 V under a
+        1 V source), so trapezoidal integration takes its first step
+        with backward Euler, as SPICE does after a breakpoint;
+        trapezoidal averaging would otherwise carry the inconsistency
+        along as a period-2 oscillation.
     diagnostics:
         Attach a :class:`TransientDiagnostics` (LTE estimate, energy
-        residual, dt adequacy) to the result.  Costs one extra
-        half-step factorization plus ``2 * lte_probes`` solves and a
-        vectorized energy pass; disable for tight inner loops.  At
-        chip scale (``size > LTE_SUBSAMPLE_SIZE``) the probe count is
-        capped at :data:`LTE_SUBSAMPLE_PROBES`.
+        residual, dt adequacy) to each result.  Costs one extra
+        half-step factorization plus two ``lte_probes``-column solves
+        and a vectorized energy pass per deck; disable for tight inner
+        loops.  At chip scale (``size > LTE_SUBSAMPLE_SIZE``) the probe
+        count is capped at :data:`LTE_SUBSAMPLE_PROBES`.
     lte_probes:
         Steps probed by the step-doubling LTE estimate.
     """
+    if isinstance(circuits, (Circuit, AssembledCircuit)):
+        raise CircuitError(
+            "transient_analysis takes a sequence of circuits; "
+            "pass [circuit] for a single deck"
+        )
     if t_stop <= 0.0 or dt <= 0.0:
         raise CircuitError("t_stop and dt must be positive")
     if dt >= t_stop:
@@ -142,86 +168,170 @@ def transient_analysis(
         raise CircuitError(f"unknown method {method!r}")
     if initial not in ("dc", "zero"):
         raise CircuitError(f"unknown initial condition mode {initial!r}")
+    decks = [c.assemble() if isinstance(c, Circuit) else c for c in circuits]
+    if not decks:
+        raise CircuitError("no circuits to simulate")
 
-    assembled = circuit.assemble() if isinstance(circuit, Circuit) else circuit
-    g, c = assembled.stamps.g_csc(), assembled.stamps.c_csc()
     registry = get_registry()
-
     requested_dt = dt
     n_steps, dt, dt_snapped = _snap_steps(t_stop, dt)
     # linspace pins the final sample to t_stop exactly (arange drifts).
     time = np.linspace(0.0, t_stop, n_steps + 1)
+    offsets = np.cumsum([0] + [deck.size for deck in decks]).tolist()
 
-    with span(
-        "circuit.transient",
-        size=assembled.size,
-        steps=n_steps,
-        dt=dt,
-        method=method,
-    ) as sp:
-        registry.inc(TRANSIENT_STEPS, n_steps)
-        x = np.empty((n_steps + 1, assembled.size))
-        dc_fallback = False
+    with span("circuit.batch", decks=len(decks), unknowns=offsets[-1],
+              steps=n_steps, method=method):
+        x, dc_fallbacks, factor_seconds, first_step = _integrate(
+            decks, offsets, time, dt, method, initial
+        )
+
+    results = []
+    for deck, lo, dc_fallback in zip(decks, offsets, dc_fallbacks):
+        with span(
+            "circuit.transient",
+            size=deck.size,
+            steps=n_steps,
+            dt=dt,
+            method=method,
+            factor_seconds=factor_seconds,
+        ):
+            registry.inc(TRANSIENT_STEPS, n_steps)
+            states = x[:, lo:lo + deck.size]
+            diag: Optional[TransientDiagnostics] = None
+            if diagnostics:
+                effective_probes = lte_probes
+                if (
+                    deck.size > LTE_SUBSAMPLE_SIZE
+                    and lte_probes > LTE_SUBSAMPLE_PROBES
+                ):
+                    effective_probes = LTE_SUBSAMPLE_PROBES
+                    registry.inc(LTE_SUBSAMPLED)
+                with span("circuit.diagnostics", probes=effective_probes):
+                    diag = _run_diagnostics(
+                        deck, states, time, dt, requested_dt, dt_snapped,
+                        method, factor_seconds, dc_fallback,
+                        effective_probes, first_step,
+                    )
+            results.append(_result(deck, states, time, diag))
+    return results
+
+
+def _integrate(
+    decks: List[AssembledCircuit],
+    offsets: List[int],
+    time: np.ndarray,
+    dt: float,
+    method: str,
+    initial: str,
+) -> Tuple[np.ndarray, List[bool], float, int]:
+    """Step the block-diagonal batch system over *time*.
+
+    Returns the ``(steps + 1, unknowns)`` state history, the per-deck DC
+    fallback flags, the seconds of the shared step-matrix factorization
+    and the first step taken by the stepping loop (1 when a
+    backward-Euler step started a trapezoidal run).
+    """
+    g_blocks = [deck.stamps.g_csc() for deck in decks]
+    x = np.empty((len(time), offsets[-1]))
+    dc_fallbacks = []
+    for deck, g, lo in zip(decks, g_blocks, offsets):
+        fallback = False
         if initial == "dc":
-            x[0], dc_fallback = _dc_start(assembled, g)
+            x[0, lo:lo + deck.size], fallback = _dc_start(deck, g)
         else:
-            x[0] = assembled.initial_state()
+            x[0, lo:lo + deck.size] = deck.initial_state()
+        dc_fallbacks.append(fallback)
 
-        if method == "trapezoidal":
-            lhs = 2.0 * c / dt + g
-            rhs_matrix = 2.0 * c / dt - g
-        else:
-            lhs = c / dt + g
-            rhs_matrix = c / dt
-        # CSR mat-vec is the per-step hot operation.
-        rhs_matrix = rhs_matrix.tocsr()
+    g = sparse.block_diag(g_blocks, format="csc")
+    c = sparse.block_diag(
+        [deck.stamps.c_csc() for deck in decks], format="csc"
+    )
+    if method == "trapezoidal":
+        lhs = 2.0 * c / dt + g
+        rhs_matrix = 2.0 * c / dt - g
+    else:
+        lhs = c / dt + g
+        rhs_matrix = c / dt
+    # CSR mat-vec is the per-step hot operation.
+    rhs_matrix = rhs_matrix.tocsr()
 
-        t0 = _time.perf_counter()
-        try:
-            lu = factorize(lhs)
-        except SolverError as exc:
-            registry.inc(SINGULAR_SYSTEM)
-            raise SolverError(f"singular transient step matrix: {exc}") from exc
-        factor_seconds = _time.perf_counter() - t0
-        registry.observe(FACTOR_SECONDS, factor_seconds)
-        if sp is not None:
-            sp.tags["factor_seconds"] = factor_seconds
+    t0 = _time.perf_counter()
+    lu = _factor_batch(lhs, decks, offsets)
+    factor_seconds = _time.perf_counter() - t0
+    get_registry().observe(FACTOR_SECONDS, factor_seconds)
 
-        b_prev = assembled.stamps.source_vector(0.0)
-        for k in range(n_steps):
-            t_next = time[k + 1]
-            b_next = assembled.stamps.source_vector(t_next)
-            if method == "trapezoidal":
-                rhs = rhs_matrix @ x[k] + b_prev + b_next
-            else:
-                rhs = rhs_matrix @ x[k] + b_next
-            x[k + 1] = lu.solve(rhs)
-            b_prev = b_next
+    # Step k is forced by b(t_k+1), plus b(t_k) under trapezoidal.
+    rows, samples = _sample_sources(decks, offsets, time)
+    forcing = samples[1:]
+    if method == "trapezoidal":
+        forcing = samples[:-1] + forcing
 
-        node_voltages = {"0": np.zeros(n_steps + 1)}
-        for node, idx in assembled.node_index.items():
-            if idx >= 0:
-                node_voltages[node] = x[:, idx]
-        branch_currents = {
-            name: x[:, assembled.num_nodes + i]
-            for i, name in enumerate(assembled.branch_names)
-        }
+    first_step = 0
+    if initial == "zero" and method == "trapezoidal":
+        # One backward-Euler step makes an inconsistent start consistent.
+        start = _factor_batch(c / dt + g, decks, offsets)
+        rhs = (c / dt) @ x[0]
+        rhs[rows] += samples[1]
+        x[1] = start.solve(rhs)
+        first_step = 1
 
-        diag: Optional[TransientDiagnostics] = None
-        if diagnostics:
-            effective_probes = lte_probes
-            if (
-                assembled.size > LTE_SUBSAMPLE_SIZE
-                and lte_probes > LTE_SUBSAMPLE_PROBES
-            ):
-                effective_probes = LTE_SUBSAMPLE_PROBES
-                registry.inc(LTE_SUBSAMPLED)
-            with span("circuit.diagnostics", probes=effective_probes):
-                diag = _run_diagnostics(
-                    assembled, x, time, dt, requested_dt, dt_snapped,
-                    method, factor_seconds, dc_fallback, effective_probes,
-                )
+    solve = lu.solve
+    for k in range(first_step, len(time) - 1):
+        rhs = rhs_matrix @ x[k]
+        rhs[rows] += forcing[k]
+        x[k + 1] = solve(rhs)
+    return x, dc_fallbacks, factor_seconds, first_step
 
+
+def _factor_batch(lhs, decks: List[AssembledCircuit], offsets: List[int]):
+    """Factor the batch step matrix; name the singular deck on failure.
+
+    Only the error path factors the diagonal blocks one by one, to find
+    which deck made the batch singular.
+    """
+    try:
+        return factorize(lhs)
+    except SolverError as exc:
+        get_registry().inc(SINGULAR_SYSTEM)
+        for i, (deck, lo, hi) in enumerate(zip(decks, offsets, offsets[1:])):
+            try:
+                factorize(lhs[lo:hi, lo:hi])
+            except SolverError as deck_exc:
+                name = deck.circuit.title or f"#{i}"
+                raise SolverError(
+                    f"singular transient step matrix in deck {name!r}: "
+                    f"{deck_exc}"
+                ) from exc
+        raise SolverError(f"singular transient step matrix: {exc}") from exc
+
+
+def _sample_sources(
+    decks: List[AssembledCircuit], offsets: List[int], time: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batch rows that carry a source, and b(t) there on the whole grid."""
+    rows, samples = [], []
+    for deck, lo in zip(decks, offsets):
+        deck_rows, deck_samples = deck.stamps.source_samples(time)
+        rows.append(deck_rows + lo)
+        samples.append(deck_samples)
+    return np.concatenate(rows), np.concatenate(samples, axis=1)
+
+
+def _result(
+    deck: AssembledCircuit,
+    states: np.ndarray,
+    time: np.ndarray,
+    diag: Optional[TransientDiagnostics],
+) -> TransientResult:
+    """One deck's waveforms as column views of the batch states."""
+    node_voltages = {"0": np.zeros(len(time))}
+    for node, idx in deck.node_index.items():
+        if idx >= 0:
+            node_voltages[node] = states[:, idx]
+    branch_currents = {
+        name: states[:, deck.num_nodes + i]
+        for i, name in enumerate(deck.branch_names)
+    }
     return TransientResult(
         time=time,
         node_voltages=node_voltages,
@@ -241,9 +351,11 @@ def _run_diagnostics(
     factor_seconds: float,
     dc_fallback: bool,
     lte_probes: int,
+    first_step: int,
 ) -> TransientDiagnostics:
     lte = estimate_local_truncation_error(
-        assembled, x, time, dt, method, max_probes=lte_probes
+        assembled, x, time, dt, method, max_probes=lte_probes,
+        first_step=first_step,
     )
     energy = energy_balance(assembled.circuit, assembled, x, time)
     adequacy = dt_adequacy(assembled.circuit, dt)

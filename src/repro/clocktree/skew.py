@@ -10,8 +10,7 @@ the discrepancy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
-
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.circuit.lint import NetlistHealthReport
 from repro.circuit.transient import TransientResult, transient_analysis
@@ -65,31 +64,61 @@ class SkewResult:
 
 
 def simulate_clocktree(
-    netlist: ClocktreeNetlist,
+    netlists: Sequence[ClocktreeNetlist],
     supply: float,
     t_stop: float,
     dt: float,
     threshold_fraction: float = 0.5,
     lint: bool = True,
     diagnostics: bool = True,
-) -> SkewResult:
-    """Transient-simulate a clocktree netlist and measure sink arrivals.
+) -> List[SkewResult]:
+    """Transient-simulate clocktree netlists and measure sink arrivals.
+
+    All *netlists* run as one :func:`transient_analysis` batch on the
+    same time grid; one :class:`SkewResult` per netlist comes back, in
+    order.  Every netlist is checked for sinks before any step runs.
 
     Arrival is the first crossing of ``threshold_fraction * supply`` at
     each sink; the reference crossing is taken at the root driver node.
 
     Unless disabled, the netlist health report (cached from the build,
     or computed here) and the per-run :class:`TransientDiagnostics` ride
-    along on the :class:`SkewResult`, so every skew number is traceable
+    along on each :class:`SkewResult`, so every skew number is traceable
     to the integration quality that produced it.
     """
-    if not netlist.sink_nodes:
-        raise CircuitError("netlist has no sinks")
-    health = netlist.lint() if (lint or netlist.health is not None) else None
-    result = transient_analysis(
-        netlist.circuit, t_stop=t_stop, dt=dt, diagnostics=diagnostics,
+    if isinstance(netlists, ClocktreeNetlist):
+        raise CircuitError(
+            "simulate_clocktree takes a sequence of netlists; "
+            "pass [netlist] for a single one"
+        )
+    netlists = list(netlists)
+    for netlist in netlists:
+        if not netlist.sink_nodes:
+            raise CircuitError(
+                f"netlist {netlist.circuit.title!r} has no sinks"
+            )
+    healths = [
+        netlist.lint() if (lint or netlist.health is not None) else None
+        for netlist in netlists
+    ]
+    results = transient_analysis(
+        [netlist.circuit for netlist in netlists],
+        t_stop=t_stop, dt=dt, diagnostics=diagnostics,
     )
     level = threshold_fraction * supply
+    return [
+        _measure_arrivals(netlist, result, health, level)
+        for netlist, result, health in zip(netlists, results, healths)
+    ]
+
+
+def _measure_arrivals(
+    netlist: ClocktreeNetlist,
+    result: TransientResult,
+    health: Optional[NetlistHealthReport],
+    level: float,
+) -> SkewResult:
+    """Threshold crossings of the root and every sink of one netlist."""
     root_wave = result.voltage(netlist.root_node)
     source_crossing = root_wave.threshold_crossing(level)
     if source_crossing is None:
@@ -156,13 +185,12 @@ def compare_rc_vs_rlc(
     dt: float,
     threshold_fraction: float = 0.5,
 ) -> SkewComparison:
-    """Extract, formulate and simulate both netlists of one H-tree."""
-    supply = htree.buffer.supply
-    rc_netlist = extractor.build_netlist(htree, include_inductance=False)
-    rlc_netlist = extractor.build_netlist(htree, include_inductance=True)
-    return SkewComparison(
-        rc=simulate_clocktree(rc_netlist, supply, t_stop, dt,
-                              threshold_fraction),
-        rlc=simulate_clocktree(rlc_netlist, supply, t_stop, dt,
-                               threshold_fraction),
-    )
+    """Extract, formulate and simulate both netlists of one H-tree.
+
+    The RC and RLC netlists run as one transient batch.
+    """
+    netlists = [extractor.build_netlist(htree, include_inductance=False),
+                extractor.build_netlist(htree, include_inductance=True)]
+    rc, rlc = simulate_clocktree(netlists, htree.buffer.supply, t_stop, dt,
+                                 threshold_fraction)
+    return SkewComparison(rc=rc, rlc=rlc)

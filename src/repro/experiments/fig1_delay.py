@@ -152,19 +152,22 @@ def run_fig1(
         )
     rlc = extractor.segment_rlc(length, signal_width=signal_width)
 
-    waves = {}
-    diagnostics = {}
-    health = {}
-    for include_l in (False, True):
-        circuit = _single_net_circuit(
+    circuits = {
+        include_l: _single_net_circuit(
             rlc, drive_resistance, supply, rise_time,
             sink_capacitance, sections, include_l,
         )
-        sink_node = f"n{sections}"
-        health[include_l] = lint_circuit(circuit)
-        result = transient_analysis(circuit, t_stop=t_stop, dt=dt)
-        diagnostics[include_l] = result.diagnostics
-        waves[include_l] = (result.voltage("drv"), result.voltage(sink_node))
+        for include_l in (False, True)
+    }
+    health = {key: lint_circuit(circuit) for key, circuit in circuits.items()}
+    # The RC and RLC nets share the grid: one transient batch.
+    results = dict(zip(circuits, transient_analysis(
+        list(circuits.values()), t_stop=t_stop, dt=dt,
+    )))
+    sink_node = f"n{sections}"
+    diagnostics = {key: result.diagnostics for key, result in results.items()}
+    waves = {key: (result.voltage("drv"), result.voltage(sink_node))
+             for key, result in results.items()}
 
     threshold = 0.5 * supply
     delays = {}

@@ -82,7 +82,7 @@ class TestDelayEstimates:
         for k in range(4):
             sim.add_resistor(f"R{k}", f"n{k}", f"n{k + 1}", 1e3)
             sim.add_capacitor(f"C{k}", f"n{k + 1}", "0", 1e-12)
-        result = transient_analysis(sim, t_stop=60e-9, dt=10e-12)
+        [result] = transient_analysis([sim], t_stop=60e-9, dt=10e-12)
         reference = result.voltage("n4").threshold_crossing(0.5)
         assert estimate == pytest.approx(reference, rel=0.25)
 
@@ -93,7 +93,7 @@ class TestDelayEstimates:
 
         sim, sim_out = rlc_line()
         sim.elements[0].waveform = PulseSource(0, 1, rise=1e-13, width=1.0)
-        result = transient_analysis(sim, t_stop=10e-9, dt=1e-12)
+        [result] = transient_analysis([sim], t_stop=10e-9, dt=1e-12)
         reference = result.voltage(sim_out).threshold_crossing(0.5)
 
         elmore = expansion.elmore_delay(out)

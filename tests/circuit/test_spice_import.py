@@ -140,8 +140,8 @@ class TestRoundTrip:
     def test_simulation_equivalence(self):
         original = self.build_original()
         rebuilt = from_spice(to_spice(original)).circuit
-        res_a = transient_analysis(original, t_stop=2e-9, dt=1e-12)
-        res_b = transient_analysis(rebuilt, t_stop=2e-9, dt=1e-12)
+        [res_a] = transient_analysis([original], t_stop=2e-9, dt=1e-12)
+        [res_b] = transient_analysis([rebuilt], t_stop=2e-9, dt=1e-12)
         va = res_a.voltage("out").values
         vb = res_b.voltage("out").values
         assert np.max(np.abs(va - vb)) < 1e-9

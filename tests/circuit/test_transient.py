@@ -32,23 +32,24 @@ def series_rlc(r=10.0, l=2e-9, c=1e-12):
 
 class TestRCStep:
     def test_time_constant(self):
-        result = transient_analysis(rc_step(), t_stop=5e-9, dt=1e-12)
+        [result] = transient_analysis([rc_step()], t_stop=5e-9, dt=1e-12)
         wave = result.voltage("out")
         t63 = wave.threshold_crossing(1.0 - np.exp(-1.0))
         assert t63 == pytest.approx(1e-9, rel=0.01)
 
     def test_final_value(self):
-        result = transient_analysis(rc_step(), t_stop=10e-9, dt=2e-12)
+        [result] = transient_analysis([rc_step()], t_stop=10e-9, dt=2e-12)
         assert result.voltage("out").final_value == pytest.approx(1.0, abs=1e-4)
 
     def test_monotone_rise(self):
-        result = transient_analysis(rc_step(), t_stop=5e-9, dt=1e-12)
+        [result] = transient_analysis([rc_step()], t_stop=5e-9, dt=1e-12)
         values = result.voltage("out").values
         assert np.all(np.diff(values) >= -1e-12)
 
     def test_backward_euler_close_to_trapezoidal(self):
-        trap = transient_analysis(rc_step(), 5e-9, 1e-12)
-        be = transient_analysis(rc_step(), 5e-9, 1e-12, method="backward_euler")
+        [trap] = transient_analysis([rc_step()], 5e-9, 1e-12)
+        [be] = transient_analysis([rc_step()], 5e-9, 1e-12,
+                                  method="backward_euler")
         v_trap = trap.voltage("out").at(2e-9)
         v_be = be.voltage("out").at(2e-9)
         assert v_be == pytest.approx(v_trap, rel=0.01)
@@ -57,7 +58,7 @@ class TestRCStep:
 class TestSeriesRLC:
     def test_underdamped_overshoot_matches_theory(self):
         r, l, c = 10.0, 2e-9, 1e-12
-        result = transient_analysis(series_rlc(r, l, c), 2e-9, 0.2e-12)
+        [result] = transient_analysis([series_rlc(r, l, c)], 2e-9, 0.2e-12)
         zeta = r / 2.0 * np.sqrt(c / l)
         expected = np.exp(-np.pi * zeta / np.sqrt(1 - zeta ** 2))
         overshoot = result.voltage("out").overshoot(reference=1.0)
@@ -65,7 +66,7 @@ class TestSeriesRLC:
 
     def test_ring_frequency(self):
         r, l, c = 2.0, 2e-9, 1e-12
-        result = transient_analysis(series_rlc(r, l, c), 3e-9, 0.1e-12)
+        [result] = transient_analysis([series_rlc(r, l, c)], 3e-9, 0.1e-12)
         wave = result.voltage("out")
         # consecutive *rising* crossings of the settled value are one
         # damped period apart
@@ -78,11 +79,11 @@ class TestSeriesRLC:
         assert f_damped == pytest.approx(expected, rel=0.02)
 
     def test_overdamped_no_overshoot(self):
-        result = transient_analysis(series_rlc(r=200.0), 10e-9, 2e-12)
+        [result] = transient_analysis([series_rlc(r=200.0)], 10e-9, 2e-12)
         assert result.voltage("out").overshoot(reference=1.0) < 1e-3
 
     def test_inductor_current_settles_to_zero(self):
-        result = transient_analysis(series_rlc(), 50e-9, 10e-12)
+        [result] = transient_analysis([series_rlc()], 50e-9, 10e-12)
         assert result.current("L1").final_value == pytest.approx(0.0, abs=1e-6)
 
 
@@ -96,7 +97,7 @@ class TestCoupledInductors:
         circuit.add_inductor("L2", "b", "0", 1e-9)
         circuit.add_resistor("RL", "b", "0", 50.0)
         circuit.add_mutual("K1", "L1", "L2", coupling=0.8)
-        result = transient_analysis(circuit, 5e-9, 1e-12)
+        [result] = transient_analysis([circuit], 5e-9, 1e-12)
         secondary = result.voltage("b").values
         assert np.max(np.abs(secondary)) > 0.3   # significant coupling
 
@@ -109,7 +110,7 @@ class TestCoupledInductors:
         circuit.add_inductor("L2", "b", "0", 1e-9)
         circuit.add_resistor("RL", "b", "0", 50.0)
         circuit.add_mutual("K1", "L1", "L2", coupling=1e-6)
-        result = transient_analysis(circuit, 3e-9, 1e-12)
+        [result] = transient_analysis([circuit], 3e-9, 1e-12)
         assert np.max(np.abs(result.voltage("b").values)) < 1e-5
 
 
@@ -122,7 +123,7 @@ class TestEnergyAndPassivity:
             circuit.add_resistor(f"R{k}", f"n{k}", f"m{k}", 1.0)
             circuit.add_inductor(f"L{k}", f"m{k}", f"n{k + 1}", 0.5e-9)
             circuit.add_capacitor(f"C{k}", f"n{k + 1}", "0", 0.2e-12)
-        result = transient_analysis(circuit, 20e-9, 5e-12)
+        [result] = transient_analysis([circuit], 20e-9, 5e-12)
         for k in range(1, 6):
             values = result.voltage(f"n{k}").values
             assert np.max(np.abs(values)) < 3.0
@@ -134,7 +135,7 @@ class TestDCInitialization:
         circuit.add_voltage_source("V1", "in", "0", 1.0)   # DC source
         circuit.add_resistor("R1", "in", "out", 1e3)
         circuit.add_capacitor("C1", "out", "0", 1e-12)
-        result = transient_analysis(circuit, 1e-9, 1e-12)
+        [result] = transient_analysis([circuit], 1e-9, 1e-12)
         # already settled: no transient at all
         assert result.voltage("out").values[0] == pytest.approx(1.0, abs=1e-6)
         assert result.voltage("out").final_value == pytest.approx(1.0, abs=1e-6)
@@ -144,7 +145,7 @@ class TestDCInitialization:
         circuit.add_voltage_source("V1", "in", "0", 0.0)
         circuit.add_resistor("R1", "in", "out", 1e3)
         circuit.add_capacitor("C1", "out", "0", 1e-12, initial_voltage=0.5)
-        result = transient_analysis(circuit, 12e-9, 1e-12, initial="zero")
+        [result] = transient_analysis([circuit], 12e-9, 1e-12, initial="zero")
         assert result.voltage("out").values[0] == pytest.approx(0.5, abs=1e-9)
         # discharges through R1 (tau = 1 ns)
         assert result.voltage("out").final_value == pytest.approx(0.0, abs=1e-3)
@@ -160,10 +161,10 @@ class TestValidation:
     ])
     def test_bad_arguments(self, kwargs):
         with pytest.raises(CircuitError):
-            transient_analysis(rc_step(), **kwargs)
+            transient_analysis([rc_step()], **kwargs)
 
     def test_unknown_probe_rejected(self):
-        result = transient_analysis(rc_step(), 1e-9, 1e-12)
+        [result] = transient_analysis([rc_step()], 1e-9, 1e-12)
         with pytest.raises(CircuitError):
             result.voltage("nope")
         with pytest.raises(CircuitError):

@@ -53,7 +53,7 @@ class TestWriteCSV:
                                    PulseSource(0, 1, rise=1e-11, width=1.0))
         circuit.add_resistor("R1", "in", "out", 1e3)
         circuit.add_capacitor("C1", "out", "0", 1e-13)
-        result = transient_analysis(circuit, t_stop=1e-9, dt=1e-12)
+        [result] = transient_analysis([circuit], t_stop=1e-9, dt=1e-12)
         path = tmp_path / "sim.csv"
         write_csv(path, {"in": result.voltage("in"),
                          "out": result.voltage("out")})

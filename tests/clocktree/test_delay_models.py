@@ -35,7 +35,7 @@ def simulated_step_delay(r, l, c, rs, cl, include_l=True):
     circuit.add_capacitor("CL", f"n{sections}", "0", cl)
     flight = np.sqrt(max(l, 1e-12) * (c + cl))
     t_stop = max(40 * (rs + r) * (c + cl), 20 * flight)
-    result = transient_analysis(circuit, t_stop=t_stop, dt=t_stop / 8000)
+    [result] = transient_analysis([circuit], t_stop=t_stop, dt=t_stop / 8000)
     crossing = result.voltage(f"n{sections}").threshold_crossing(0.5)
     assert crossing is not None
     return crossing

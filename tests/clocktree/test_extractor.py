@@ -154,7 +154,7 @@ class TestNetlistFormulation:
         from repro.circuit.transient import transient_analysis
 
         netlist = extractor().build_netlist(htree())
-        result = transient_analysis(netlist.circuit, t_stop=2e-9, dt=1e-12)
+        [result] = transient_analysis([netlist.circuit], t_stop=2e-9, dt=1e-12)
         sink_node = next(iter(netlist.sink_nodes.values()))
         final = result.voltage(sink_node).final_value
         assert final == pytest.approx(1.8, rel=0.05)

@@ -130,6 +130,7 @@ class TestMultiLayerExtraction:
             layers_by_level=("M6", "M5"),
         )
         netlist = extractor.build_netlist(htree)
-        result = transient_analysis(netlist.circuit, t_stop=ps(2000), dt=ps(1))
+        [result] = transient_analysis([netlist.circuit], t_stop=ps(2000),
+                                      dt=ps(1))
         sink = next(iter(netlist.sink_nodes.values()))
         assert result.voltage(sink).final_value == pytest.approx(1.8, rel=0.05)

@@ -137,7 +137,8 @@ class TestPhysicalCrossChecks:
         htree = HTree.generate(levels=1, root_length=um(1000),
                                config=characterized.config, buffer=buffer)
         netlist = extractor.build_netlist(htree)
-        result = transient_analysis(netlist.circuit, t_stop=ps(2000), dt=ps(1))
+        [result] = transient_analysis([netlist.circuit], t_stop=ps(2000),
+                                      dt=ps(1))
         for node in netlist.sink_nodes.values():
             assert result.voltage(node).final_value == pytest.approx(
                 1.8, rel=0.02

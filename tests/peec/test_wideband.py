@@ -106,7 +106,7 @@ class TestCircuitIntegration:
         ladder.stamp(circuit, "a", "b", prefix="seg")
         circuit.add_capacitor("Cline", "b", "0", 0.8e-12)
         circuit.add_capacitor("CL", "b", "0", 30e-15)
-        result = transient_analysis(circuit, t_stop=3e-9, dt=1e-12)
+        [result] = transient_analysis([circuit], t_stop=3e-9, dt=1e-12)
         wave = result.voltage("b")
         assert wave.final_value == pytest.approx(1.8, rel=0.02)
         assert np.max(np.abs(wave.values)) < 3.0

@@ -145,7 +145,7 @@ class TestNetlist:
         )
         circuit.add_resistor("Rs", "src", netlist.input_nodes["T2"], 25.0)
         circuit.add_capacitor("CL", netlist.output_nodes["T2"], "0", 20e-15)
-        result = transient_analysis(circuit, t_stop=1e-9, dt=0.5e-12)
+        [result] = transient_analysis([circuit], t_stop=1e-9, dt=0.5e-12)
         final = result.voltage(netlist.output_nodes["T2"]).final_value
         assert final == pytest.approx(1.0, rel=0.05)
 

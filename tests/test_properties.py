@@ -249,7 +249,8 @@ class TestTransientStability:
         tau = max(r * c * 1e-12, np.sqrt(l * 1e-9 * c * 1e-12))
         ring_decay = 2.0 * l * 1e-9 / r   # underdamped envelope constant
         t_stop = max(200 * tau, 15 * ring_decay, 2e-9)
-        result = transient_analysis(circuit, t_stop=t_stop, dt=t_stop / 4000)
+        [result] = transient_analysis([circuit], t_stop=t_stop,
+                                      dt=t_stop / 4000)
         wave = result.voltage("out")
         assert abs(wave.final_value - 1.0) < 0.05
         assert np.max(np.abs(wave.values)) < 2.5   # bounded (passive)
