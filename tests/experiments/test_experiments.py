@@ -123,3 +123,23 @@ class TestProcessVariation:
         assert result.skews.std() > 0
         # process wiggles the skew by percents, not orders of magnitude
         assert result.skew_spread < 0.3
+
+    def test_variation_skew_peak_memory_flat_in_samples(self):
+        # The decks run in fixed-size batches, so two batches' worth of
+        # samples peak no higher than one batch's; a single batch of
+        # every deck would nearly double the peak.
+        import tracemalloc
+
+        from repro.experiments import run_variation_skew
+        from repro.experiments.process_variation import _BATCH_DECKS
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                run_variation_skew(n_samples=n_samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_batch = peak(_BATCH_DECKS - 1)  # plus the nominal deck
+        assert peak(2 * _BATCH_DECKS - 1) < 1.3 * one_batch
