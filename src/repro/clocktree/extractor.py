@@ -10,6 +10,11 @@ For every H-tree segment the extractor obtains:
 * **C** -- per-unit-length capacitance from a field-solver table (or the
   closed-form models).
 
+An H-tree repeats its branch lengths level by level, so a netlist is
+stamped from one extraction per distinct (layer, length) of the tree's
+segments (:meth:`ClocktreeRLCExtractor.extract_htree`), not one per
+segment.
+
 Segments are then linearly cascaded into one RLC netlist for the whole
 passive tree between buffer levels, each segment realized as a short
 ladder whose total L equals the table value (splitting the table total
@@ -19,6 +24,7 @@ underestimation the paper warns about).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -45,6 +51,16 @@ class SegmentRLC:
     capacitance: float
 
     def __post_init__(self) -> None:
+        # NaN compares False against every bound below, so it is
+        # rejected here; an overflowed spline would otherwise pass.
+        values = (self.length, self.resistance, self.inductance,
+                  self.capacitance)
+        if not all(math.isfinite(value) for value in values):
+            raise GeometryError(
+                "segment length, R, L and C must be finite, got "
+                f"length={self.length!r} R={self.resistance!r} "
+                f"L={self.inductance!r} C={self.capacitance!r}"
+            )
         if self.length <= 0.0 or self.resistance <= 0.0:
             raise GeometryError("segment length and resistance must be positive")
         if self.inductance < 0.0 or self.capacitance <= 0.0:
@@ -245,10 +261,30 @@ class ClocktreeRLCExtractor:
     def segment_rlc_for(self, segment: HTreeSegment) -> SegmentRLC:
         """Extraction hook for one routed segment.
 
-        The base extractor ignores the segment's layer; layer-aware
-        subclasses (e.g. the multi-layer extractor) dispatch on it.
+        Contract: the result depends only on the segment's ``layer`` and
+        ``length``, and :meth:`extract_htree` calls the hook once per
+        distinct ``(layer, length)`` of a tree.  The base extractor
+        ignores the layer; layer-aware subclasses (e.g. the multi-layer
+        extractor) dispatch on it.
         """
         return self.segment_rlc(segment.length)
+
+    def extract_htree(self, htree: HTree) -> Dict[str, SegmentRLC]:
+        """Every segment's extraction, keyed by segment name in tree order.
+
+        Segments that share a ``(layer, length)`` share one
+        :class:`SegmentRLC`: the hook runs once per distinct pair.  The
+        dedup map lives for this call only; nothing is kept across trees.
+        """
+        distinct: Dict[Tuple[Optional[str], float], SegmentRLC] = {}
+        extraction: Dict[str, SegmentRLC] = {}
+        for segment in htree.segments:
+            key = (segment.layer, segment.length)
+            rlc = distinct.get(key)
+            if rlc is None:
+                rlc = distinct[key] = self.segment_rlc_for(segment)
+            extraction[segment.name] = rlc
+        return extraction
 
     # ------------------------------------------------------------------
     # netlist formulation
@@ -298,10 +334,12 @@ class ClocktreeRLCExtractor:
             sections=sections,
             inductance=include_inductance,
         ):
+            extraction = self.extract_htree(htree)
             for segment in htree.segments:
                 self._stamp_segment(
-                    circuit, htree, segment, root_node, sections,
-                    include_inductance, sink_nodes, rc_scale,
+                    circuit, htree, segment, extraction[segment.name],
+                    root_node, sections, include_inductance, sink_nodes,
+                    rc_scale,
                 )
         netlist = ClocktreeNetlist(
             circuit=circuit,
@@ -324,13 +362,13 @@ class ClocktreeRLCExtractor:
         circuit: Circuit,
         htree: HTree,
         segment: HTreeSegment,
+        rlc: SegmentRLC,
         root_node: str,
         sections: int,
         include_inductance: bool,
         sink_nodes: Dict[str, str],
         rc_scale: Tuple[float, float] = (1.0, 1.0),
     ) -> None:
-        rlc = self.segment_rlc_for(segment)
         start = self._drive_node(segment, root_node)
         name = segment.name
         r_per = rlc.resistance * rc_scale[0] / sections

@@ -1,13 +1,20 @@
 """Per-segment extraction and cascaded netlist formulation."""
 
+import dataclasses
+import math
+
 import pytest
 
-from repro.constants import GHz, um
+from repro.constants import GHz, ps, um
 from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.clocktree.extractor import ClocktreeRLCExtractor, SegmentRLC
 from repro.clocktree.htree import HTree
+from repro.clocktree.skew import compare_rc_vs_rlc
 from repro.core.extraction import TableBasedExtractor
 from repro.errors import CircuitError, GeometryError
+from repro.experiments.htree_skew import default_htree
+from repro.telemetry import metrics_meter
+from repro.telemetry.registry import TABLE_LOOKUP
 
 
 def config():
@@ -33,6 +40,16 @@ class TestSegmentRLC:
         with pytest.raises(GeometryError):
             SegmentRLC(length=1e-3, resistance=1.0, inductance=-1e-9,
                        capacitance=1e-12)
+
+    @pytest.mark.parametrize("field", ["length", "resistance", "inductance",
+                                       "capacitance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        values = dict(length=1e-3, resistance=1.0, inductance=1e-9,
+                      capacitance=1e-12)
+        values[field] = value
+        with pytest.raises(GeometryError, match="finite"):
+            SegmentRLC(**values)
 
 
 class TestDirectExtraction:
@@ -158,3 +175,73 @@ class TestNetlistFormulation:
         sink_node = next(iter(netlist.sink_nodes.values()))
         final = result.voltage(sink_node).final_value
         assert final == pytest.approx(1.8, rel=0.05)
+
+
+def _cards(circuit):
+    """Every element as (type, fields), floats as their exact hex."""
+    return [
+        (type(e).__name__,) + tuple(
+            value.hex() if isinstance(value, float) else value
+            for value in (getattr(e, f.name) for f in dataclasses.fields(e))
+        )
+        for e in circuit.elements
+    ]
+
+
+class TestTreeExtraction:
+    """One extraction per distinct (layer, length), stamped bitwise."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return TableBasedExtractor.characterize(
+            config(), frequency=GHz(6.4),
+            widths=[um(8), um(10), um(12)],
+            lengths=[um(500), um(1500), um(3000), um(5000)],
+            spacings=[um(0.5), um(1), um(2)], capacitance_grid=(32, 24),
+        )
+
+    def test_compare_looks_up_each_distinct_segment_once_per_deck(
+            self, tables):
+        built = []
+
+        class Recording(ClocktreeRLCExtractor):
+            def build_netlist(self, *args, **kwargs):
+                built.append(super().build_netlist(*args, **kwargs))
+                return built[-1]
+
+        class PerSegment(ClocktreeRLCExtractor):
+            """The reference: one hook call per segment, no dedup."""
+
+            def extract_htree(self, htree):
+                return {s.name: self.segment_rlc_for(s)
+                        for s in htree.segments}
+
+        def make(cls):
+            return cls(config(), frequency=GHz(6.4),
+                       inductance_table=tables.inductance_table,
+                       resistance_table=tables.resistance_table,
+                       capacitance_table=tables.capacitance_table)
+
+        tree = default_htree(levels=3)
+        distinct = {(s.layer, s.length) for s in tree.segments}
+        assert len(distinct) == 4 < len(tree.segments) == 14
+        with metrics_meter() as meter:
+            compare_rc_vs_rlc(make(Recording), tree, t_stop=ps(1000),
+                              dt=ps(1))
+        # two decks x three tables (L, R, C) x distinct segments
+        assert meter.delta.counter(TABLE_LOOKUP) == 2 * 3 * len(distinct)
+
+        reference = make(PerSegment)
+        rc, rlc = built
+        for netlist in (rc, rlc):
+            expected = reference.build_netlist(
+                tree, include_inductance=netlist.includes_inductance)
+            assert _cards(netlist.circuit) == _cards(expected.circuit)
+        assert not rc.includes_inductance and rlc.includes_inductance
+
+    def test_extraction_keyed_by_segment_in_tree_order(self):
+        tree = htree(levels=2)
+        extraction = extractor().extract_htree(tree)
+        assert list(extraction) == [s.name for s in tree.segments]
+        assert extraction["s_LL"] is extraction["s_RR"]
+        assert extraction["s_L"].length == tree.segment("s_L").length

@@ -134,3 +134,52 @@ class TestMultiLayerExtraction:
                                       dt=ps(1))
         sink = next(iter(netlist.sink_nodes.values()))
         assert result.voltage(sink).final_value == pytest.approx(1.8, rel=0.05)
+
+
+class TestTreeExtractionPerLayer:
+    """The per-tree dedup keys on (layer, length), never length alone."""
+
+    @pytest.fixture(scope="class")
+    def two_thickness(self):
+        # M3 is 1 um thick, M6 2 um: equal lengths extract differently
+        return TechnologyTables.for_stackup(
+            default_stackup(6), config_for_layer, frequency=GHz(3.2),
+            widths=WIDTHS, lengths=LENGTHS, layers=("M3", "M6"),
+        )
+
+    @staticmethod
+    def tree(levels, length_ratio):
+        return HTree.generate(
+            levels=levels, root_length=um(1500),
+            config=config_for_layer(default_stackup(6).layer("M6")),
+            length_ratio=length_ratio, layers_by_level=("M6", "M3"),
+        )
+
+    def test_equal_lengths_on_two_layers_keep_their_own_values(
+            self, two_thickness):
+        extractor = MultiLayerClocktreeExtractor(two_thickness, "M6")
+        htree = self.tree(levels=2, length_ratio=1.0)
+        extraction = extractor.extract_htree(htree)
+        for segment in htree.segments:
+            own = extractor.extractor_for_layer(segment.layer).segment_rlc(
+                segment.length)
+            assert extraction[segment.name] == own
+        root, leaf = extraction["s_L"], extraction["s_LL"]
+        assert root.length == leaf.length
+        assert root.resistance < leaf.resistance  # thicker M6 root
+
+    @pytest.mark.parametrize("levels, length_ratio, pairs",
+                             [(2, 1.0, 2), (3, 0.6, 3)])
+    def test_hook_runs_once_per_distinct_layer_and_length(
+            self, two_thickness, levels, length_ratio, pairs):
+        calls = []
+
+        class Counting(MultiLayerClocktreeExtractor):
+            def segment_rlc_for(self, segment):
+                calls.append((segment.layer, segment.length))
+                return super().segment_rlc_for(segment)
+
+        htree = self.tree(levels, length_ratio)
+        Counting(two_thickness, "M6").build_netlist(htree)
+        assert len(calls) == len(set(calls)) == pairs
+        assert set(calls) == {(s.layer, s.length) for s in htree.segments}

@@ -1,5 +1,7 @@
 """ExtractionService: endpoint handlers, envelopes, cache economics."""
 
+import warnings
+
 import pytest
 
 from repro.constants import GHz
@@ -7,6 +9,7 @@ from repro.errors import ServeError
 from repro.serve import ExtractionService
 from repro.serve.cache import result_key
 from repro.telemetry import metrics_meter
+from repro.telemetry.registry import TABLE_LOOKUP
 
 KIT_FREQUENCY = GHz(3.2)  # matches the conftest kit build
 
@@ -149,6 +152,29 @@ class TestExtract:
     def test_non_finite_field_rejected(self, service):
         with pytest.raises(ServeError, match="finite"):
             service.handle("extract", {"root_length_um": float("nan")})
+
+    def test_overflowing_extraction_rejected(self, service):
+        # Finite input whose spline extrapolation overflows to NaN R/L:
+        # a 400, never a 200 body that is not valid JSON.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ServeError, match="extraction failed") as exc:
+                service.handle(
+                    "extract", {"root_length_um": 1e300, "levels": 2})
+        assert exc.value.status == 400
+        assert "finite" in str(exc.value)
+
+    def test_exact_lookup_count(self, service):
+        # 14 segments of 3 distinct lengths (4000, 2000, 1000 um); the
+        # kit has loop L and R tables, C is closed-form.  The segments
+        # report looks up every segment, the netlist each distinct one.
+        request = {"root_length_um": 4000.0, "levels": 3}
+        with metrics_meter() as meter:
+            result = service.handle("extract", request)["result"]
+        assert result["num_segments"] == len(result["segments"]) == 14
+        assert len({s["length_um"] for s in result["segments"]}) == 3
+        assert not result["tables"]["capacitance"]
+        assert meter.delta.counter(TABLE_LOOKUP) == 2 * 14 + 2 * 3
 
     def test_bad_format_rejected(self, service):
         with pytest.raises(ServeError, match="format"):
