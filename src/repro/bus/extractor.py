@@ -76,7 +76,8 @@ class BusRLCExtractor:
         plane below, permittivity, neighbour range).
     self_table / mutual_table:
         Optional partial-inductance tables from
-        :class:`~repro.tables.builder.PartialInductanceTableBuilder`;
+        :class:`~repro.library.jobs.PartialSelfInductanceJob` /
+        :class:`~repro.library.jobs.PartialMutualInductanceJob`;
         without them the exact closed forms are evaluated directly
         (which *is* the 1-/2-trace numerical extraction).
     resistivity:

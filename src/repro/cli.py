@@ -491,16 +491,9 @@ def _cmd_spice(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    from repro.clocktree.configs import CoplanarWaveguideConfig
     from repro.core.extraction import TableBasedExtractor
 
-    config = CoplanarWaveguideConfig(
-        signal_width=um(args.signal_width),
-        ground_width=um(args.ground_width),
-        spacing=um(args.spacing),
-        thickness=um(args.thickness),
-        height_below=um(args.height_below),
-    )
+    config = _library_config(args)
     widths = [um(w) for w in args.widths]
     lengths = [um(l) for l in args.lengths]
     extractor = TableBasedExtractor.characterize(
@@ -558,7 +551,6 @@ def _cmd_library_build(args: argparse.Namespace) -> int:
         runner = BuildRunner(
             args.root,
             workers=args.workers,
-            parallel=not args.serial,
             progress=progress if not args.quiet else None,
             auditor=auditor,
             disk_memo=args.disk_memo,
@@ -914,9 +906,8 @@ def _add_library_parser(sub) -> None:
     p_build.add_argument("--cap-spacings", type=float, nargs="+", default=None,
                          help="also build a C(width, spacing) table [um]")
     p_build.add_argument("--workers", type=int, default=None,
-                         help="process count (default: CPU count)")
-    p_build.add_argument("--serial", action="store_true",
-                         help="disable the process pool")
+                         help="process count (default: CPU count; "
+                              "1 runs in process)")
     p_build.add_argument("--quiet", action="store_true")
     p_build.add_argument("--audit", action="store_true",
                          help="spot-check every freshly built table "

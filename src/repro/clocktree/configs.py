@@ -236,8 +236,8 @@ class MicrostripConfig:
     ) -> LoopProblem:
         """Two traces over the plane: drive one, open-circuit the other.
 
-        The factory :class:`~repro.tables.builder.MutualLoopTableBuilder`
-        expects: the victim trace is named ``"VICTIM"``.
+        :class:`~repro.library.jobs.MutualLoopJob` expects the victim
+        trace to be named ``"VICTIM"``.
         """
         if separation <= 0.0:
             raise GeometryError("separation must be positive")

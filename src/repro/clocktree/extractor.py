@@ -101,12 +101,12 @@ class ClocktreeRLCExtractor:
         Significant frequency for R skin correction and direct L solves.
     inductance_table / resistance_table:
         Loop tables over (width, length) from
-        :class:`~repro.tables.builder.LoopInductanceTableBuilder`; when
+        :class:`~repro.library.jobs.LoopTableJob`; when
         absent, L and loop R come from a direct field solve per segment
         (slower but always available).
     capacitance_table:
         Per-unit-length total-capacitance table over (width, spacing)
-        from :class:`~repro.tables.builder.CapacitanceTableBuilder`;
+        from :class:`~repro.library.jobs.TotalCapacitanceJob`;
         when absent the closed-form models are used.
     library:
         A :class:`~repro.library.store.TableLibrary` (or its root path)

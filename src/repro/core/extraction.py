@@ -2,10 +2,11 @@
 
 :class:`TableBasedExtractor` bundles the paper's methodology end to end:
 
-1. :meth:`TableBasedExtractor.characterize` sweeps the PEEC loop solver
-   (and optionally the 2-D capacitance solver) over a (width, length)
-   grid at the significant frequency and stores the results as
-   bicubic-spline tables;
+1. :meth:`TableBasedExtractor.characterize` runs a
+   :class:`~repro.library.jobs.LoopTableJob` (PEEC loop solves over a
+   (width, length) grid at the significant frequency) and optionally a
+   :class:`~repro.library.jobs.TotalCapacitanceJob` (2-D field solves)
+   in process, and keeps the results as bicubic-spline tables;
 2. :meth:`loop_inductance` / :meth:`loop_resistance` /
    :meth:`capacitance_per_length` answer extraction queries by table
    lookup;
@@ -22,10 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.errors import TableError
-from repro.tables.builder import (
-    CapacitanceTableBuilder,
-    LoopInductanceTableBuilder,
-)
+from repro.library.jobs import LoopTableJob, TotalCapacitanceJob
 from repro.tables.lookup import ExtractionTable, timed_lookup
 from repro.telemetry import span
 
@@ -107,32 +105,24 @@ class TableBasedExtractor:
         capacitance_grid:
             Optional ``(nx, nz)`` override for the capacitance solver.
         """
-        widths = list(widths)
-        lengths = list(lengths)
+        widths = tuple(widths)
+        lengths = tuple(lengths)
         with span(
             "extractor.characterize",
             family=name_prefix,
             grid=f"{len(widths)}x{len(lengths)}",
         ):
-            loop_builder = LoopInductanceTableBuilder(
-                problem_factory=config.loop_problem, frequency=frequency
-            )
-            l_table, r_table = loop_builder.build_loop_tables(
-                widths, lengths, name_prefix=name_prefix
-            )
+            l_table, r_table = LoopTableJob(
+                config=config, frequency=frequency, widths=widths,
+                lengths=lengths, name_prefix=name_prefix,
+            ).build()
             c_table = None
             if spacings is not None:
                 nx, nz = capacitance_grid if capacitance_grid else (160, 120)
-                cap_builder = CapacitanceTableBuilder(
-                    cross_section_factory=lambda w, s: config.cross_section(
-                        signal_width=w, spacing=s
-                    ),
-                    nx=nx,
-                    nz=nz,
-                )
-                c_table = cap_builder.build_total_cap_table(
-                    widths, spacings, name=f"{name_prefix}_capacitance"
-                )
+                [c_table] = TotalCapacitanceJob(
+                    config=config, widths=widths, spacings=tuple(spacings),
+                    nx=nx, nz=nz, name=f"{name_prefix}_capacitance",
+                ).build()
         return cls(
             config=config,
             frequency=frequency,

@@ -1,21 +1,27 @@
-"""Declarative characterization jobs: grid + builder + cache key.
+"""Characterization jobs: the one engine that turns field solves into tables.
 
-A :class:`CharacterizationJob` is the unit of work of a design-kit
-build: it pairs an axis grid with one of the table builders from
-:mod:`repro.tables.builder` and knows three things the build runner
-needs --
+A :class:`CharacterizationJob` pairs an axis grid with the per-point
+physics of one table kind (the paper's Sec. III table sets: loop L/R,
+mutual loop L, partial self/mutual L, 3-trace and total C).  Every
+table is computed by a job: in process through
+:meth:`CharacterizationJob.build`, or point-chunked over a process pool
+by :class:`~repro.library.runner.BuildRunner`.  A job knows four
+things --
 
 1. **its own cache keys**: a deterministic ``job_id`` plus one
    ``table_key`` per output table, derived (via
    :func:`repro.library.store.cache_key`) from everything that
-   determines the solved numbers: builder kind and configuration, axis
+   determines the solved numbers: job kind and configuration, axis
    grids, frequency and the library schema version;
 2. **its grid points** and how to **solve one point in isolation** --
    the granularity the process pool and the resume checkpoints operate
    at.  A point solve returns one float per output table, so a loop job
    yields (L, R) pairs and a 3-trace capacitance job (Cg, Cc) pairs;
 3. **how to assemble** the solved point values into finished
-   :class:`~repro.tables.lookup.ExtractionTable` objects.
+   :class:`~repro.tables.lookup.ExtractionTable` objects;
+4. **whether its inputs are valid**, checked once at construction
+   (thickness, height, frequency, axes, the ``SIG`` / ``VICTIM``
+   conductor names) rather than at the first solve.
 
 Jobs are frozen dataclasses holding only picklable state (structure
 configs are themselves frozen dataclasses), so they travel to
@@ -34,18 +40,27 @@ import numpy as np
 
 from repro.constants import RHO_CU
 from repro.errors import TableError
+from repro.geometry.primitives import Point3D, RectBar
+from repro.geometry.trace import TraceBlock
 from repro.library.store import SCHEMA_VERSION, cache_key
-from repro.rc.fieldsolver2d import FieldSolver2D
-from repro.tables.builder import (
-    PartialInductanceTableBuilder,
-    ThreeTraceCapacitanceBuilder,
-    _validated_axis,
-)
+from repro.peec.analytic import skin_depth
+from repro.peec.hoer_love import bar_self_inductance, mutual_inductance_batch
+from repro.peec.mesh import skin_mesh_counts
+from repro.peec.solver import Conductor, PartialInductanceSolver
+from repro.rc.fieldsolver2d import CrossSection2D, FieldSolver2D
 from repro.tables.lookup import ExtractionTable
+from repro.telemetry import TABLE_BUILD_POINT, get_registry, span
 
 
 def _axis_tuple(name: str, values: Sequence[float]) -> Tuple[float, ...]:
-    return tuple(float(v) for v in _validated_axis(name, values))
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1 or axis.size < 2:
+        raise TableError(f"axis {name!r} needs at least two points")
+    if not np.all(np.diff(axis) > 0.0):
+        raise TableError(f"axis {name!r} must be strictly increasing")
+    if axis[0] <= 0.0:
+        raise TableError(f"axis {name!r} must be positive")
+    return tuple(float(v) for v in axis)
 
 
 def config_spec(config) -> dict:
@@ -81,7 +96,8 @@ class JobOutput:
 
 
 class CharacterizationJob:
-    """Base class: shared key derivation, grid logistics, assembly.
+    """Base class: shared key derivation, grid logistics, assembly and
+    the in-process :meth:`build`.
 
     Subclasses define class attribute ``kind``, implement
     :meth:`builder_spec`, :meth:`outputs`, :meth:`axes` /
@@ -177,8 +193,6 @@ class CharacterizationJob:
         distributions survive the trip from pool workers back to the
         parent (workers ship registry snapshot deltas with each chunk).
         """
-        from repro.telemetry import TABLE_BUILD_POINT, get_registry
-
         registry = get_registry()
         values: List[Tuple[float, ...]] = []
         for point in points:
@@ -188,8 +202,13 @@ class CharacterizationJob:
         return values
 
     def table_metadata(self) -> dict:
-        """Builder provenance recorded into each output table."""
+        """Provenance metadata recorded into each output table."""
         raise NotImplementedError
+
+    def build(self) -> List[ExtractionTable]:
+        """Solve every grid point in this process and assemble the tables."""
+        with span("tables.build", kind=self.kind, points=self.num_points()):
+            return self.assemble(self.solve_points(self.points()))
 
     # -- assembly ------------------------------------------------------
     def assemble(
@@ -245,9 +264,8 @@ class CharacterizationJob:
 class LoopTableJob(CharacterizationJob):
     """Loop L and loop R tables for a structure config (Sec. II-B).
 
-    Pairs a (width, length) grid with
-    :class:`~repro.tables.builder.LoopInductanceTableBuilder` semantics,
-    but solves point-wise so the runner can parallelize and checkpoint.
+    Each (width, length) point solves the config's ``loop_problem`` at
+    the characterization frequency; one solve yields both L and R.
     """
 
     config: object = None
@@ -288,6 +306,7 @@ class LoopTableJob(CharacterizationJob):
 
     def builder_spec(self):
         return {
+            # hashed into job_id / table_key: renaming re-keys every kit
             "builder": "LoopInductanceTableBuilder",
             "config": config_spec(self.config),
             "n_width": self.n_width,
@@ -311,7 +330,14 @@ class LoopTableJob(CharacterizationJob):
 
 @dataclass(frozen=True)
 class MutualLoopJob(CharacterizationJob):
-    """Mutual loop inductance of trace pairs over a plane (Fig. 5(c))."""
+    """Mutual loop inductance of trace pairs over a plane (Fig. 5(c)).
+
+    Foundation 2's extension: the mutual loop inductance of two traces
+    over a shared plane depends only on the pair, so it tabulates on a
+    (separation, length) grid from 2-trace solves.  The config's
+    ``pair_problem`` drives the first trace and leaves an open trace
+    named ``"VICTIM"``, whose induced EMF gives the mutual.
+    """
 
     config: object = None
     frequency: float = 0.0
@@ -332,6 +358,16 @@ class MutualLoopJob(CharacterizationJob):
         object.__setattr__(
             self, "separations", _axis_tuple("separation", self.separations))
         object.__setattr__(self, "lengths", _axis_tuple("length", self.lengths))
+        problem = self._problem(self.separations[0], self.lengths[0])
+        if "VICTIM" not in [t.name for t in problem.open_traces]:
+            raise TableError(
+                "pair problem must contain an open trace named 'VICTIM'")
+
+    def _problem(self, separation: float, length: float):
+        return self.config.pair_problem(
+            float(separation), float(length),
+            n_width=self.n_width, n_thickness=self.n_thickness,
+        )
 
     @property
     def family(self) -> str:
@@ -348,6 +384,7 @@ class MutualLoopJob(CharacterizationJob):
 
     def builder_spec(self):
         return {
+            # hashed into job_id / table_key: renaming re-keys every kit
             "builder": "MutualLoopTableBuilder",
             "config": config_spec(self.config),
             "n_width": self.n_width,
@@ -355,26 +392,30 @@ class MutualLoopJob(CharacterizationJob):
         }
 
     def solve_point(self, point):
-        separation, length = point
-        problem = self.config.pair_problem(
-            float(separation), float(length),
-            n_width=self.n_width, n_thickness=self.n_thickness,
-        )
-        solution = problem.solve(self.frequency)
-        try:
-            return (float(solution.mutual_loop_inductances["VICTIM"]),)
-        except KeyError:
-            raise TableError(
-                "pair problem must contain an open trace named 'VICTIM'"
-            ) from None
+        solution = self._problem(*point).solve(self.frequency)
+        return (float(solution.mutual_loop_inductances["VICTIM"]),)
 
     def table_metadata(self):
         return {"frequency": self.frequency, "model": "loop_pair"}
 
 
+def _check_partial(thickness: float, frequency: Optional[float]) -> None:
+    if thickness <= 0.0:
+        raise TableError("thickness must be positive")
+    if frequency is not None and frequency <= 0.0:
+        raise TableError("frequency must be positive when given")
+
+
 @dataclass(frozen=True)
 class PartialSelfInductanceJob(CharacterizationJob):
-    """Partial self-L table over (width, length) for one layer."""
+    """Partial self-L table over (width, length) for one layer.
+
+    For blocks *without* ground planes the Foundations make partial
+    inductance exact under the 1-/2-trace reduction (Sec. II-A / III).
+    ``frequency=None`` uses the exact uniform-current closed form; a
+    positive value meshes the cross-section and solves the skin-effect
+    current distribution at that frequency.
+    """
 
     thickness: float = 0.0
     widths: Tuple[float, ...] = ()
@@ -387,15 +428,9 @@ class PartialSelfInductanceJob(CharacterizationJob):
     kind = "partial_self"
 
     def __post_init__(self):
-        # builder constructor validates thickness/frequency
-        PartialInductanceTableBuilder(
-            self.thickness, self.frequency, self.resistivity)
+        _check_partial(self.thickness, self.frequency)
         object.__setattr__(self, "widths", _axis_tuple("width", self.widths))
         object.__setattr__(self, "lengths", _axis_tuple("length", self.lengths))
-
-    def _builder(self) -> PartialInductanceTableBuilder:
-        return PartialInductanceTableBuilder(
-            self.thickness, self.frequency, self.resistivity)
 
     def axis_names(self):
         return ("width", "length")
@@ -408,6 +443,7 @@ class PartialSelfInductanceJob(CharacterizationJob):
 
     def builder_spec(self):
         return {
+            # hashed into job_id / table_key: renaming re-keys every kit
             "builder": "PartialInductanceTableBuilder",
             "mode": "self",
             "thickness": self.thickness,
@@ -415,8 +451,18 @@ class PartialSelfInductanceJob(CharacterizationJob):
         }
 
     def solve_point(self, point):
-        width, length = point
-        return (float(self._builder()._self_value(float(width), float(length))),)
+        width, length = (float(v) for v in point)
+        bar = RectBar(Point3D(0, 0, 0), length=length, width=width,
+                      thickness=self.thickness)
+        if self.frequency is None:
+            return (float(bar_self_inductance(bar)),)
+        delta = skin_depth(self.resistivity, self.frequency)
+        n_w, n_t = skin_mesh_counts(width, self.thickness, delta)
+        solver = PartialInductanceSolver([
+            Conductor.from_bar("T", bar, self.resistivity, n_w, n_t, grading=1.5)
+        ])
+        _, l_matrix = solver.effective_rl(self.frequency)
+        return (float(l_matrix[0, 0]),)
 
     def table_metadata(self):
         return {
@@ -443,16 +489,11 @@ class PartialMutualInductanceJob(CharacterizationJob):
     kind = "partial_mutual"
 
     def __post_init__(self):
-        PartialInductanceTableBuilder(
-            self.thickness, self.frequency, self.resistivity)
+        _check_partial(self.thickness, self.frequency)
         object.__setattr__(self, "widths1", _axis_tuple("width1", self.widths1))
         object.__setattr__(self, "widths2", _axis_tuple("width2", self.widths2))
         object.__setattr__(self, "spacings", _axis_tuple("spacing", self.spacings))
         object.__setattr__(self, "lengths", _axis_tuple("length", self.lengths))
-
-    def _builder(self) -> PartialInductanceTableBuilder:
-        return PartialInductanceTableBuilder(
-            self.thickness, self.frequency, self.resistivity)
 
     def axis_names(self):
         return ("width1", "width2", "spacing", "length")
@@ -465,6 +506,7 @@ class PartialMutualInductanceJob(CharacterizationJob):
 
     def builder_spec(self):
         return {
+            # hashed into job_id / table_key: renaming re-keys every kit
             "builder": "PartialInductanceTableBuilder",
             "mode": "mutual",
             "thickness": self.thickness,
@@ -473,7 +515,24 @@ class PartialMutualInductanceJob(CharacterizationJob):
 
     def solve_point(self, point):
         w1, w2, spacing, length = (float(v) for v in point)
-        return (float(self._builder()._mutual_value(w1, w2, spacing, length)),)
+        if self.frequency is None:
+            return (float(mutual_inductance_batch(
+                0.0, length, 0.0, w1, 0.0, self.thickness,
+                0.0, length, w1 + spacing, w2, 0.0, self.thickness,
+            )),)
+        bar1 = RectBar(Point3D(0, 0, 0), length=length, width=w1,
+                       thickness=self.thickness)
+        bar2 = RectBar(Point3D(0, w1 + spacing, 0), length=length, width=w2,
+                       thickness=self.thickness)
+        delta = skin_depth(self.resistivity, self.frequency)
+        n_w1, n_t = skin_mesh_counts(w1, self.thickness, delta)
+        n_w2, _ = skin_mesh_counts(w2, self.thickness, delta)
+        solver = PartialInductanceSolver([
+            Conductor.from_bar("T1", bar1, self.resistivity, n_w1, n_t, grading=1.5),
+            Conductor.from_bar("T2", bar2, self.resistivity, n_w2, n_t, grading=1.5),
+        ])
+        _, l_matrix = solver.effective_rl(self.frequency)
+        return (float(l_matrix[0, 1]),)
 
     def table_metadata(self):
         return {
@@ -485,7 +544,14 @@ class PartialMutualInductanceJob(CharacterizationJob):
 
 @dataclass(frozen=True)
 class ThreeTraceCapacitanceJob(CharacterizationJob):
-    """Ground + coupling capacitance from 3-trace FD solves (Sec. II)."""
+    """Ground + coupling capacitance from 3-trace FD solves (Sec. II).
+
+    The paper's capacitance prescription verbatim: "for any trace, it is
+    sufficient to solve the trace and its two adjacent traces via
+    numerical extraction".  Each (width, spacing) point solves a
+    3-equal-trace cross-section with the 2-D FD extractor and records
+    the middle trace's ground and coupling capacitance per unit length.
+    """
 
     height_below: float = 0.0
     thickness: float = 0.0
@@ -501,14 +567,10 @@ class ThreeTraceCapacitanceJob(CharacterizationJob):
     frequency = None
 
     def __post_init__(self):
-        ThreeTraceCapacitanceBuilder(
-            self.height_below, self.thickness, self.eps_r, self.nx, self.nz)
+        if self.height_below <= 0.0 or self.thickness <= 0.0:
+            raise TableError("height_below and thickness must be positive")
         object.__setattr__(self, "widths", _axis_tuple("width", self.widths))
         object.__setattr__(self, "spacings", _axis_tuple("spacing", self.spacings))
-
-    def _builder(self) -> ThreeTraceCapacitanceBuilder:
-        return ThreeTraceCapacitanceBuilder(
-            self.height_below, self.thickness, self.eps_r, self.nx, self.nz)
 
     def axis_names(self):
         return ("width", "spacing")
@@ -526,6 +588,7 @@ class ThreeTraceCapacitanceJob(CharacterizationJob):
 
     def builder_spec(self):
         return {
+            # hashed into job_id / table_key: renaming re-keys every kit
             "builder": "ThreeTraceCapacitanceBuilder",
             "height_below": self.height_below,
             "thickness": self.thickness,
@@ -535,10 +598,19 @@ class ThreeTraceCapacitanceJob(CharacterizationJob):
         }
 
     def solve_point(self, point):
-        width, spacing = point
-        ground, coupling = self._builder()._solve_point(
-            float(width), float(spacing))
-        return (float(ground), float(coupling))
+        width, spacing = (float(v) for v in point)
+        block = TraceBlock.from_widths_and_spacings(
+            widths=[width] * 3, spacings=[spacing] * 2, length=1.0,
+            thickness=self.thickness, ground_flags=[False] * 3,
+        )
+        cross_section = CrossSection2D.from_block(
+            block, plane_gap=self.height_below, eps_r=self.eps_r
+        )
+        matrix = FieldSolver2D(
+            cross_section, nx=self.nx, nz=self.nz).capacitance_matrix()
+        coupling = -matrix[1, 0]
+        ground = matrix[1, 1] + matrix[1, 0] + matrix[1, 2]
+        return (float(max(ground, 0.0)), float(max(coupling, 0.0)))
 
     def table_metadata(self):
         return {
@@ -555,10 +627,9 @@ class ThreeTraceCapacitanceJob(CharacterizationJob):
 class TotalCapacitanceJob(CharacterizationJob):
     """Per-unit-length total signal capacitance for a structure config.
 
-    The pool-safe counterpart of
-    :class:`~repro.tables.builder.CapacitanceTableBuilder`: instead of a
-    (possibly lambda) cross-section factory it holds the structure
-    config itself and calls its ``cross_section()`` method per point.
+    Each (width, spacing) point solves the config's ``cross_section()``
+    with the 2-D FD extractor (the paper's pre-characterized
+    capacitance of ref [4]) and records the signal's diagonal entry.
     """
 
     config: object = None
@@ -579,6 +650,18 @@ class TotalCapacitanceJob(CharacterizationJob):
                 "TotalCapacitanceJob needs a config with cross_section()")
         object.__setattr__(self, "widths", _axis_tuple("width", self.widths))
         object.__setattr__(self, "spacings", _axis_tuple("spacing", self.spacings))
+        _, names = self._cross_section(self.widths[0], self.spacings[0])
+        if self.signal_name not in names:
+            raise TableError(
+                f"cross-section has conductors {names}, "
+                f"no signal {self.signal_name!r}"
+            )
+
+    def _cross_section(self, width: float, spacing: float):
+        """One point's cross-section and its conductor names."""
+        cross_section = self.config.cross_section(
+            signal_width=float(width), spacing=float(spacing))
+        return cross_section, [c.name for c in cross_section.conductors]
 
     @property
     def family(self) -> str:
@@ -595,6 +678,7 @@ class TotalCapacitanceJob(CharacterizationJob):
 
     def builder_spec(self):
         return {
+            # hashed into job_id / table_key: renaming re-keys every kit
             "builder": "CapacitanceTableBuilder",
             "config": config_spec(self.config),
             "nx": self.nx,
@@ -603,18 +687,10 @@ class TotalCapacitanceJob(CharacterizationJob):
         }
 
     def solve_point(self, point):
-        width, spacing = point
-        cross_section = self.config.cross_section(
-            signal_width=float(width), spacing=float(spacing))
-        names = [c.name for c in cross_section.conductors]
-        if self.signal_name not in names:
-            raise TableError(
-                f"cross-section has conductors {names}, "
-                f"no signal {self.signal_name!r}"
-            )
-        solver = FieldSolver2D(cross_section, nx=self.nx, nz=self.nz)
-        matrix = solver.capacitance_matrix()
+        cross_section, names = self._cross_section(*point)
         index = names.index(self.signal_name)
+        matrix = FieldSolver2D(
+            cross_section, nx=self.nx, nz=self.nz).capacitance_matrix()
         return (float(matrix[index, index]),)
 
     def table_metadata(self):

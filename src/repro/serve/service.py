@@ -12,7 +12,8 @@ Three JSON endpoints mirror the paper's flow:
 
 * ``extract`` -- geometry + frequency -> per-segment RLC and a full
   cascaded netlist (optionally rendered as a SPICE deck and linted via
-  :mod:`repro.circuit.lint`);
+  :mod:`repro.circuit.lint`), naming the segments whose values came
+  from extrapolating the loop L / R tables;
 * ``lookup`` -- one raw table lookup with the PR-4 coverage
   classification (interior / edge / extrapolated, per axis);
 * ``skew`` -- an H-tree configuration -> RC-vs-RLC skew summary.
@@ -43,6 +44,7 @@ from repro.constants import GHz, ps, um
 from repro.core.frequency import significant_frequency
 from repro.errors import ReproError, ServeError, TableError
 from repro.library.store import TableLibrary, _sha256_text, open_library
+from repro.quality.coverage import POINT_EXTRAPOLATED
 from repro.serve.batching import RequestCoalescer
 from repro.serve.cache import ResultCache, result_key
 from repro.serve.limits import ConcurrencyLimiter
@@ -387,6 +389,22 @@ class ExtractionService:
     # ------------------------------------------------------------------
     # endpoint: extract
     # ------------------------------------------------------------------
+    @staticmethod
+    def _extrapolated_segments(
+        extractor: ClocktreeRLCExtractor, segments: List[Any]
+    ) -> List[str]:
+        """Sorted names of the segments whose (width, length) falls
+        outside the inductance or resistance table's axes."""
+        tables = [t for t in (extractor.inductance_table,
+                              extractor.resistance_table) if t is not None]
+        width = extractor.config.signal_width
+        outside = {
+            length for length in {s.length for s in segments}
+            if any(t.classify(width=width, length=length)
+                   == POINT_EXTRAPOLATED for t in tables)
+        }
+        return sorted(s.name for s in segments if s.length in outside)
+
     def _extract(self, payload: dict) -> dict:
         config = self._config_from(payload)
         buffer = self._buffer_from(payload)
@@ -434,6 +452,8 @@ class ExtractionService:
                 "resistance": extractor.resistance_table is not None,
                 "capacitance": extractor.capacitance_table is not None,
             },
+            "extrapolated_segments": self._extrapolated_segments(
+                extractor, [segment for segment, _ in segments]),
             "segments": [
                 {
                     "name": segment.name,

@@ -5,23 +5,15 @@ solver offline over a grid of geometries, store self- and mutual-
 inductance (and capacitance) tables, and answer extraction queries with
 bicubic-spline interpolation -- orders of magnitude faster than a fresh
 field solve with no loss of accuracy inside the characterized grid.
+The tables themselves are computed by the characterization jobs of
+:mod:`repro.library.jobs`.
 """
 
-from repro.tables.builder import (
-    CapacitanceTableBuilder,
-    LoopInductanceTableBuilder,
-    PartialInductanceTableBuilder,
-    ThreeTraceCapacitanceBuilder,
-)
 from repro.tables.grid import TensorSplineInterpolator
 from repro.tables.lookup import ExtractionTable
 from repro.tables.spline import BicubicSpline, CubicSpline1D
 
 __all__ = [
-    "CapacitanceTableBuilder",
-    "LoopInductanceTableBuilder",
-    "PartialInductanceTableBuilder",
-    "ThreeTraceCapacitanceBuilder",
     "TensorSplineInterpolator",
     "ExtractionTable",
     "BicubicSpline",

@@ -240,7 +240,7 @@ def get_tracer() -> Tracer:
 def span(name: str, **tags: object):
     """Open a span on the global tracer (the usual entry point)::
 
-        with span("tables.build_loop", points=n):
+        with span("tables.build", kind="loop_rl", points=n):
             ...
     """
     return _GLOBAL_TRACER.span(name, **tags)

@@ -73,12 +73,11 @@ class TestLoopPhysics:
 
 class TestTableCharacterization:
     def test_loop_tables_build(self):
-        from repro.tables.builder import LoopInductanceTableBuilder
+        from repro.library.jobs import LoopTableJob
 
-        config = stripline()
-        builder = LoopInductanceTableBuilder(config.loop_problem, GHz(3.2))
-        l_table, r_table = builder.build_loop_tables(
-            [um(4), um(8)], [um(300), um(800)]
-        )
+        l_table, r_table = LoopTableJob(
+            config=stripline(), frequency=GHz(3.2),
+            widths=(um(4), um(8)), lengths=(um(300), um(800)),
+        ).build()
         assert l_table.lookup(um(6), um(500)) > 0
         assert r_table.lookup(um(6), um(500)) > 0

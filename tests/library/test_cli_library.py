@@ -42,7 +42,8 @@ class TestExecution:
         code = main([
             "library", "build", "--root", str(root),
             "--widths", "6", "10", "--lengths", "500", "2000",
-            "--frequency", "3.2", "--layer", "M5", "--serial", "--quiet",
+            "--frequency", "3.2", "--layer", "M5", "--workers", "1",
+            "--quiet",
         ])
         assert code == 0
         capsys.readouterr()
@@ -59,7 +60,8 @@ class TestExecution:
         code = main([
             "library", "build", "--root", str(built_root),
             "--widths", "6", "10", "--lengths", "500", "2000",
-            "--frequency", "3.2", "--layer", "M5", "--serial", "--quiet",
+            "--frequency", "3.2", "--layer", "M5", "--workers", "1",
+            "--quiet",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -100,7 +102,7 @@ class TestBuildErrors:
     def test_one_point_axis_is_a_usage_error(self, tmp_path, capsys):
         assert main(["library", "build", "--root", str(tmp_path / "kit"),
                      "--widths", "6", "--lengths", "500", "2000",
-                     "--serial", "--quiet"]) == 2
+                     "--workers", "1", "--quiet"]) == 2
         assert "error: axis 'width' needs at least two points" in \
             capsys.readouterr().err
 
@@ -126,6 +128,6 @@ class TestBuildErrors:
         assert err.startswith("FAILED: a pool worker died")
         assert "Traceback" not in err
         monkeypatch.undo()
-        assert main(self.BUILD + ["--root", root, "--serial"]) == 0
+        assert main(self.BUILD + ["--root", root, "--workers", "1"]) == 0
         assert re.search(r"solved, [1-3] resumed", capsys.readouterr().out)
         assert TableLibrary(root, create=False).verify() == []

@@ -89,7 +89,7 @@ class TestAuditedBuildAndLibraryAudit:
                 "library", "build", "--root", str(root),
                 "--widths", "6", "10", "14",
                 "--lengths", "400", "1300", "2600", "5200",
-                "--frequency", "6.4", "--serial", "--quiet",
+                "--frequency", "6.4", "--workers", "1", "--quiet",
                 "--audit", "--audit-samples", "4",
             ])
         assert code == 0
@@ -135,7 +135,7 @@ class TestAuditedBuildAndLibraryAudit:
         assert main([
             "library", "build", "--root", str(root),
             "--widths", "6", "10", "--lengths", "500", "2000",
-            "--serial", "--quiet",
+            "--workers", "1", "--quiet",
         ]) == 0
         capsys.readouterr()
         assert main(["library", "audit", "--root", str(root)]) == 1

@@ -117,6 +117,20 @@ class TestExtract:
         assert result["num_sinks"] == 4
         assert len(result["netlist"]["sink_nodes"]) == 4
 
+    def test_out_of_grid_segments_are_named(self, service):
+        # the kit's lengths stop at 6000 um; 1e5 um arms are 16x past it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = service.handle(
+                "extract", {"root_length_um": 1e5, "levels": 2})["result"]
+        assert result["extrapolated_segments"] == [
+            "s_L", "s_LL", "s_LR", "s_R", "s_RL", "s_RR"]
+
+    def test_in_grid_tree_has_no_extrapolated_segments(self, service):
+        result = service.handle(
+            "extract", {"root_length_um": 3000.0, "levels": 2})["result"]
+        assert result["extrapolated_segments"] == []
+
     def test_lint_report_attached_and_clean(self, service):
         result = service.handle(
             "extract", {"root_length_um": 1500.0, "levels": 2})["result"]

@@ -1,21 +1,24 @@
-"""Table builders: field-solver sweeps into extraction tables."""
+"""Characterization jobs built in process: field-solver sweeps into tables."""
 
-import numpy as np
+from dataclasses import dataclass
+
 import pytest
 
 from repro.constants import GHz, um
 from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.errors import TableError
 from repro.geometry.primitives import Point3D, RectBar
-from repro.peec.hoer_love import bar_self_inductance
-from repro.tables.builder import (
-    CapacitanceTableBuilder,
-    LoopInductanceTableBuilder,
-    PartialInductanceTableBuilder,
+from repro.library.jobs import (
+    LoopTableJob,
+    PartialMutualInductanceJob,
+    PartialSelfInductanceJob,
+    TotalCapacitanceJob,
 )
+from repro.peec.hoer_love import bar_self_inductance
+from repro.telemetry import get_tracer
 
-WIDTHS = [um(2), um(5), um(10)]
-LENGTHS = [um(500), um(1000), um(2000)]
+WIDTHS = (um(2), um(5), um(10))
+LENGTHS = (um(500), um(1000), um(2000))
 
 
 def cpw_config():
@@ -25,26 +28,39 @@ def cpw_config():
     )
 
 
+def self_table(**kwargs):
+    params = dict(widths=WIDTHS, lengths=LENGTHS)
+    params.update(kwargs)
+    [table] = PartialSelfInductanceJob(**params).build()
+    return table
+
+
+def mutual_table(thickness, widths1, widths2, spacings, lengths):
+    [table] = PartialMutualInductanceJob(
+        thickness=thickness, widths1=widths1, widths2=widths2,
+        spacings=spacings, lengths=lengths,
+    ).build()
+    return table
+
+
 class TestPartialBuilder:
     def test_self_table_matches_exact_kernel(self):
-        builder = PartialInductanceTableBuilder(thickness=um(2))
-        table = builder.build_self_table(WIDTHS, LENGTHS)
+        table = self_table(thickness=um(2))
         bar = RectBar(Point3D(0, 0, 0), um(1000), um(5), um(2))
         assert table.lookup(width=um(5), length=um(1000)) == pytest.approx(
             bar_self_inductance(bar), rel=1e-9
         )
 
     def test_self_table_axes_and_metadata(self):
-        builder = PartialInductanceTableBuilder(thickness=um(2), frequency=GHz(3.2))
-        table = builder.build_self_table(WIDTHS, LENGTHS)
+        table = self_table(thickness=um(2), frequency=GHz(3.2))
         assert tuple(table.axis_names) == ("width", "length")
         assert table.metadata["thickness"] == um(2)
         assert table.metadata["frequency"] == GHz(3.2)
 
     def test_mutual_table_4d(self):
-        builder = PartialInductanceTableBuilder(thickness=um(1))
-        table = builder.build_mutual_table(
-            [um(1), um(2)], [um(1), um(2)], [um(1), um(3)], [um(200), um(500)],
+        table = mutual_table(
+            um(1), (um(1), um(2)), (um(1), um(2)), (um(1), um(3)),
+            (um(200), um(500)),
         )
         assert table.ndim == 4
         value = table.lookup(
@@ -53,9 +69,9 @@ class TestPartialBuilder:
         assert value > 0
 
     def test_mutual_symmetric_in_widths(self):
-        builder = PartialInductanceTableBuilder(thickness=um(1))
-        table = builder.build_mutual_table(
-            [um(1), um(3)], [um(1), um(3)], [um(2), um(4)], [um(300), um(600)],
+        table = mutual_table(
+            um(1), (um(1), um(3)), (um(1), um(3)), (um(2), um(4)),
+            (um(300), um(600)),
         )
         a = table.lookup(width1=um(1), width2=um(3), spacing=um(2), length=um(300))
         b = table.lookup(width1=um(3), width2=um(1), spacing=um(2), length=um(300))
@@ -63,10 +79,9 @@ class TestPartialBuilder:
 
     def test_frequency_dependent_self_table_lower(self):
         # skin effect at very high frequency reduces internal inductance
-        static = PartialInductanceTableBuilder(thickness=um(2))
-        fast = PartialInductanceTableBuilder(thickness=um(2), frequency=50e9)
-        l_static = static.build_self_table([um(8), um(12)], [um(1000), um(2000)])
-        l_fast = fast.build_self_table([um(8), um(12)], [um(1000), um(2000)])
+        grid = dict(widths=(um(8), um(12)), lengths=(um(1000), um(2000)))
+        l_static = self_table(thickness=um(2), **grid)
+        l_fast = self_table(thickness=um(2), frequency=50e9, **grid)
         assert l_fast.lookup(um(8), um(1000)) < l_static.lookup(um(8), um(1000))
 
     @pytest.mark.parametrize("kwargs", [
@@ -75,23 +90,28 @@ class TestPartialBuilder:
     ])
     def test_invalid_builder(self, kwargs):
         with pytest.raises(TableError):
-            PartialInductanceTableBuilder(**kwargs)
+            PartialSelfInductanceJob(widths=WIDTHS, lengths=LENGTHS, **kwargs)
+        with pytest.raises(TableError):
+            PartialMutualInductanceJob(
+                widths1=WIDTHS, widths2=WIDTHS, spacings=WIDTHS,
+                lengths=LENGTHS, **kwargs)
 
     def test_axis_validation(self):
-        builder = PartialInductanceTableBuilder(thickness=um(1))
         with pytest.raises(TableError):
-            builder.build_self_table([um(1)], LENGTHS)       # too few points
+            self_table(thickness=um(1), widths=(um(1),))       # too few points
         with pytest.raises(TableError):
-            builder.build_self_table([um(2), um(1)], LENGTHS)  # not increasing
+            self_table(thickness=um(1), widths=(um(2), um(1)))  # not increasing
 
 
 class TestLoopBuilder:
     def test_loop_tables_built(self):
-        config = cpw_config()
-        builder = LoopInductanceTableBuilder(config.loop_problem, GHz(3.2))
-        l_table, r_table = builder.build_loop_tables(
-            [um(5), um(10)], [um(500), um(1500)]
-        )
+        job = LoopTableJob(config=cpw_config(), frequency=GHz(3.2),
+                           widths=(um(5), um(10)), lengths=(um(500), um(1500)))
+        tracer = get_tracer()
+        tracer.reset()
+        l_table, r_table = job.build()
+        [root] = [s for s in tracer.drain() if s.name == "tables.build"]
+        assert root.tags == {"kind": "loop_rl", "points": 4}
         assert l_table.quantity == "loop_inductance"
         assert r_table.quantity == "loop_resistance"
         assert l_table.lookup(um(5), um(500)) > 0
@@ -99,41 +119,48 @@ class TestLoopBuilder:
 
     def test_lookup_matches_direct_solve_at_knot(self):
         config = cpw_config()
-        builder = LoopInductanceTableBuilder(config.loop_problem, GHz(3.2))
-        l_table, _ = builder.build_loop_tables([um(5), um(10)], [um(500), um(1500)])
+        l_table, _ = LoopTableJob(
+            config=config, frequency=GHz(3.2),
+            widths=(um(5), um(10)), lengths=(um(500), um(1500)),
+        ).build()
         problem = config.loop_problem(um(10), um(1500))
         _, direct = problem.loop_rl(GHz(3.2))
         assert l_table.lookup(um(10), um(1500)) == pytest.approx(direct, rel=1e-9)
 
     def test_invalid_frequency(self):
         with pytest.raises(TableError):
-            LoopInductanceTableBuilder(cpw_config().loop_problem, 0.0)
+            LoopTableJob(config=cpw_config(), frequency=0.0,
+                         widths=(um(5), um(10)), lengths=(um(500), um(1500)))
+
+
+@dataclass(frozen=True)
+class NoSignalConfig:
+    """A structure whose cross-section has no conductor named 'SIG'."""
+
+    def cross_section(self, signal_width, spacing):
+        from repro.rc.fieldsolver2d import ConductorRect, CrossSection2D
+
+        return CrossSection2D(
+            width=um(20), height=um(10),
+            conductors=[ConductorRect(
+                "X", um(5), um(5) + signal_width, um(2), um(3))],
+        )
 
 
 class TestCapacitanceBuilder:
     def test_cap_table_from_fd_solver(self):
-        config = cpw_config()
-        builder = CapacitanceTableBuilder(
-            lambda w, s: config.cross_section(signal_width=w, spacing=s),
-            nx=60, nz=45,
-        )
-        table = builder.build_total_cap_table(
-            [um(5), um(10)], [um(1), um(3)]
-        )
+        [table] = TotalCapacitanceJob(
+            config=cpw_config(), widths=(um(5), um(10)),
+            spacings=(um(1), um(3)), nx=60, nz=45,
+        ).build()
         assert table.quantity == "capacitance_per_length"
         narrow = table.lookup(width=um(5), spacing=um(1))
         wide = table.lookup(width=um(10), spacing=um(1))
         assert wide > narrow > 0
 
     def test_signal_name_required(self):
-        from repro.rc.fieldsolver2d import ConductorRect, CrossSection2D
-
-        def factory(w, s):
-            return CrossSection2D(
-                width=um(20), height=um(10),
-                conductors=[ConductorRect("X", um(5), um(5) + w, um(2), um(3))],
-            )
-
-        builder = CapacitanceTableBuilder(factory, nx=40, nz=30)
-        with pytest.raises(TableError):
-            builder.build_total_cap_table([um(1), um(2)], [um(1), um(2)])
+        # caught when the job is made, before any field solve
+        with pytest.raises(TableError, match="no signal 'SIG'"):
+            TotalCapacitanceJob(config=NoSignalConfig(),
+                                widths=(um(1), um(2)), spacings=(um(1), um(2)),
+                                nx=40, nz=30)

@@ -1,11 +1,23 @@
 """Mutual loop inductance tables for neighbour coupling."""
 
+from dataclasses import dataclass
+
 import pytest
 
-from repro.clocktree.configs import MicrostripConfig
+from repro.clocktree.configs import CoplanarWaveguideConfig, MicrostripConfig
 from repro.constants import GHz, um
 from repro.errors import TableError
-from repro.tables.builder import MutualLoopTableBuilder
+from repro.library.jobs import MutualLoopJob
+
+
+@dataclass(frozen=True)
+class NoVictimConfig:
+    """A pair structure without an open 'VICTIM' trace (a plain CPW loop)."""
+
+    cpw: CoplanarWaveguideConfig
+
+    def pair_problem(self, separation, length, n_width=2, n_thickness=1):
+        return self.cpw.loop_problem(self.cpw.signal_width, length)
 
 
 @pytest.fixture(scope="module")
@@ -16,11 +28,12 @@ def config():
 
 @pytest.fixture(scope="module")
 def table(config):
-    builder = MutualLoopTableBuilder(config.pair_problem, GHz(3.2))
-    return builder.build_mutual_loop_table(
-        separations=[um(3), um(8), um(20)],
-        lengths=[um(500), um(1500)],
-    )
+    [table] = MutualLoopJob(
+        config=config, frequency=GHz(3.2),
+        separations=(um(3), um(8), um(20)),
+        lengths=(um(500), um(1500)),
+    ).build()
+    return table
 
 
 class TestMutualLoopTable:
@@ -46,19 +59,18 @@ class TestMutualLoopTable:
         )
 
     def test_bad_factory_detected(self):
-        from repro.clocktree.configs import CoplanarWaveguideConfig
-
         cpw = CoplanarWaveguideConfig(
             signal_width=um(10), ground_width=um(5), spacing=um(1),
             thickness=um(2), height_below=um(2),
         )
-        # the CPW loop problem has no open 'VICTIM' trace
-        builder = MutualLoopTableBuilder(
-            lambda s, l: cpw.loop_problem(um(10), l), GHz(3.2)
-        )
-        with pytest.raises(TableError):
-            builder.build_mutual_loop_table([um(2), um(4)], [um(500), um(900)])
+        # caught when the job is made, before any loop solve
+        with pytest.raises(TableError, match="VICTIM"):
+            MutualLoopJob(config=NoVictimConfig(cpw), frequency=GHz(3.2),
+                          separations=(um(2), um(4)),
+                          lengths=(um(500), um(900)))
 
     def test_invalid_frequency(self, config):
         with pytest.raises(TableError):
-            MutualLoopTableBuilder(config.pair_problem, 0.0)
+            MutualLoopJob(config=config, frequency=0.0,
+                          separations=(um(2), um(4)),
+                          lengths=(um(500), um(900)))

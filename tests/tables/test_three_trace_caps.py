@@ -8,24 +8,24 @@ from repro.constants import GHz, um
 from repro.errors import TableError
 from repro.geometry.trace import TraceBlock
 from repro.rc.capacitance import CapacitanceModel, coupling_capacitance
-from repro.tables.builder import ThreeTraceCapacitanceBuilder
+from repro.library.jobs import ThreeTraceCapacitanceJob
 
 
 @pytest.fixture(scope="module")
 def tables():
-    builder = ThreeTraceCapacitanceBuilder(
+    return ThreeTraceCapacitanceJob(
         height_below=um(2), thickness=um(1), nx=80, nz=60,
-    )
-    return builder.build_tables(
-        widths=[um(1), um(2), um(4)],
-        spacings=[um(1), um(2), um(4)],
-    )
+        widths=(um(1), um(2), um(4)),
+        spacings=(um(1), um(2), um(4)),
+    ).build()
 
 
 class TestBuilder:
     def test_invalid_geometry(self):
         with pytest.raises(TableError):
-            ThreeTraceCapacitanceBuilder(height_below=0.0, thickness=um(1))
+            ThreeTraceCapacitanceJob(height_below=0.0, thickness=um(1),
+                                     widths=(um(1), um(2)),
+                                     spacings=(um(1), um(2)))
 
     def test_tables_positive(self, tables):
         ground, coupling = tables

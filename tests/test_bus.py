@@ -10,7 +10,10 @@ from repro.errors import CircuitError, GeometryError
 from repro.geometry.trace import TraceBlock
 from repro.peec.hoer_love import bar_mutual_inductance, bar_self_inductance
 from repro.rc.capacitance import CapacitanceModel
-from repro.tables.builder import PartialInductanceTableBuilder
+from repro.library.jobs import (
+    PartialMutualInductanceJob,
+    PartialSelfInductanceJob,
+)
 
 
 def bus_block(n=5, width=um(2), spacing=um(2), length=um(1000)):
@@ -75,16 +78,17 @@ class TestExtraction:
 
 class TestTableDrivenExtraction:
     def test_tables_match_direct(self):
-        builder = PartialInductanceTableBuilder(thickness=um(1))
-        self_table = builder.build_self_table(
-            [um(1), um(2), um(4)], [um(500), um(1000), um(2000)]
-        )
+        [self_table] = PartialSelfInductanceJob(
+            thickness=um(1), widths=(um(1), um(2), um(4)),
+            lengths=(um(500), um(1000), um(2000)),
+        ).build()
         # the spacing axis must reach the widest pair separation in the
         # block (T1-T3 sit 6 um apart edge to edge)
-        mutual_table = builder.build_mutual_table(
-            [um(1), um(2), um(4)], [um(1), um(2), um(4)],
-            [um(1), um(3), um(6)], [um(500), um(1000), um(2000)],
-        )
+        [mutual_table] = PartialMutualInductanceJob(
+            thickness=um(1), widths1=(um(1), um(2), um(4)),
+            widths2=(um(1), um(2), um(4)), spacings=(um(1), um(3), um(6)),
+            lengths=(um(500), um(1000), um(2000)),
+        ).build()
         block = bus_block(n=3)
         direct = extractor().extract(block)
         tabled = extractor(

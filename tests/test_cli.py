@@ -347,7 +347,7 @@ class TestObservabilityCLI:
         assert main([
             "library", "build", "--root", str(tmp_path / "kit"),
             "--widths", "6", "10", "--lengths", "500", "1500",
-            "--serial", "--quiet",
+            "--workers", "1", "--quiet",
             "--profile", str(profile), "--profile-interval", "1",
             "--telemetry", str(report_path),
         ]) == 0
