@@ -1,9 +1,9 @@
 """Sparse factorization backend for the MNA analyses.
 
-Every analysis (``dc``, ``ac``, ``moments``, fixed-dt ``transient`` and
-the diagnostics half-step LTE probe) reduces to "factor one system
-matrix once, then solve it against one or many right-hand sides".  All
-of them factor the CSC ``G`` / ``C`` pair that
+Every analysis (``dc``, ``ac``, the fixed-dt ``transient`` and the
+diagnostics half-step LTE probe) reduces to "factor one system matrix
+once, then solve it against one or many right-hand sides".  All of them
+factor the CSC ``G`` / ``C`` pair that
 :class:`~repro.circuit.elements.Stamps` assembles with
 :func:`scipy.sparse.linalg.splu`.  An MNA matrix of an extracted
 clocktree holds a handful of entries per row, so one path serves every

@@ -42,7 +42,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import lsqr
 
-from repro.circuit.backend import factorize, gmin_loaded
+from repro.circuit.backend import factorize
+from repro.circuit.dc import solve_dc
 from repro.circuit.diagnostics import (
     LTE_SUBSAMPLE_PROBES,
     LTE_SUBSAMPLE_SIZE,
@@ -398,20 +399,18 @@ def _dc_start(assembled: AssembledCircuit, g) -> Tuple[np.ndarray, bool]:
     parallel inductors), so they and its condition-number stop are
     disabled and only the iteration count bounds the run.
     """
-    g = gmin_loaded(g, assembled.num_nodes, 1e-12)
-    b = assembled.stamps.source_vector(0.0)
-    try:
-        return factorize(g).solve(b), False
-    except SolverError:
-        get_registry().inc(DC_START_FALLBACK)
-        solution = lsqr(
-            g, b, atol=0.0, btol=0.0, conlim=0.0,
-            iter_lim=_LSQR_ITERATIONS_PER_UNKNOWN * assembled.size,
-        )[0]
-        residual = g @ solution - b
-        if np.max(np.abs(residual)) > 1e-9 * max(1.0, np.max(np.abs(b))):
-            get_registry().inc(SINGULAR_SYSTEM)
-            raise SolverError(
-                "inconsistent DC initialization (conflicting sources)"
-            )
-        return solution, True
+    x, g, b = solve_dc(assembled, g)
+    if x is not None:
+        return x, False
+    get_registry().inc(DC_START_FALLBACK)
+    solution = lsqr(
+        g, b, atol=0.0, btol=0.0, conlim=0.0,
+        iter_lim=_LSQR_ITERATIONS_PER_UNKNOWN * assembled.size,
+    )[0]
+    residual = g @ solution - b
+    if np.max(np.abs(residual)) > 1e-9 * max(1.0, np.max(np.abs(b))):
+        get_registry().inc(SINGULAR_SYSTEM)
+        raise SolverError(
+            "inconsistent DC initialization (conflicting sources)"
+        )
+    return solution, True

@@ -133,60 +133,6 @@ class Waveform:
         dip = float(tail.max())
         return max((dip - reference) / abs(reference), 0.0)
 
-    def settling_time(self, tolerance: float = 0.02) -> Optional[float]:
-        """Earliest time after which the waveform stays within
-        ``tolerance * |final|`` of the final value (``None`` if never)."""
-        reference = self.final_value
-        band = tolerance * abs(reference) if reference != 0.0 else tolerance
-        outside = np.abs(self.values - reference) > band
-        if not outside.any():
-            return float(self.time[0])
-        last_outside = int(np.flatnonzero(outside)[-1])
-        if last_outside >= self.time.size - 1:
-            return None
-        return float(self.time[last_outside + 1])
-
-    def ringing_periods(self) -> int:
-        """Number of times the waveform re-crosses its final value after
-        the first crossing -- a count of ring cycles."""
-        reference = self.final_value
-        v = self.values - reference
-        signs = np.sign(v)
-        signs = signs[signs != 0]
-        if signs.size < 2:
-            return 0
-        return int(np.count_nonzero(np.diff(signs) != 0) - 1) if np.count_nonzero(np.diff(signs) != 0) > 0 else 0
-
-
-def write_csv(
-    path,
-    waveforms: Dict[str, "Waveform"],
-    time_unit: float = 1.0,
-) -> None:
-    """Write named waveforms to a CSV file (shared time base required).
-
-    *time_unit* rescales the time column (e.g. 1e-12 writes picoseconds).
-    """
-    from pathlib import Path
-
-    if not waveforms:
-        raise CircuitError("no waveforms to write")
-    names = sorted(waveforms)
-    base = waveforms[names[0]].time
-    for name in names[1:]:
-        other = waveforms[name].time
-        # atol=0: the default atol of allclose dwarfs ns-scale samples
-        if other.shape != base.shape or not np.allclose(
-            other, base, rtol=1e-12, atol=0.0
-        ):
-            raise CircuitError("waveforms must share one time base")
-    lines = ["time," + ",".join(names)]
-    for k, t in enumerate(base):
-        cells = [f"{t / time_unit:.9g}"]
-        cells += [f"{waveforms[name].values[k]:.9g}" for name in names]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
-
 
 def skew(
     arrivals: Dict[str, float],
@@ -196,16 +142,3 @@ def skew(
         raise CircuitError("no arrival times given")
     values = list(arrivals.values())
     return max(values) - min(values)
-
-
-def arrival_times(
-    source: Waveform,
-    sinks: Dict[str, Waveform],
-    fraction: float = 0.5,
-    reference: Optional[float] = None,
-) -> Dict[str, float]:
-    """Delay from *source* to each sink at the given threshold fraction."""
-    return {
-        name: source.delay_to(sink, fraction=fraction, reference=reference)
-        for name, sink in sinks.items()
-    }

@@ -18,7 +18,6 @@ from repro.clocktree.delay_models import (
     damping_factor,
     elmore_delay,
     rlc_delay,
-    segment_delay,
 )
 from repro.clocktree.extractor import ClocktreeRLCExtractor, SegmentRLC
 from repro.clocktree.htree import HTree, HTreeSegment
@@ -46,7 +45,6 @@ __all__ = [
     "elmore_delay",
     "rlc_delay",
     "damping_factor",
-    "segment_delay",
     "WidthOptimizer",
     "OptimizationResult",
     "MultiLayerClocktreeExtractor",

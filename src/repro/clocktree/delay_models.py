@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-from repro.clocktree.extractor import SegmentRLC
 from repro.errors import CircuitError
 
 
@@ -91,20 +90,3 @@ def rlc_delay(
     c_total = capacitance + load_capacitance
     omega_n = 1.0 / math.sqrt(inductance * c_total)
     return (math.exp(-2.9 * zeta ** 1.35) + 1.48 * zeta) / omega_n
-
-
-def segment_delay(
-    rlc: SegmentRLC,
-    drive_resistance: float,
-    load_capacitance: float = 0.0,
-    include_inductance: bool = True,
-) -> float:
-    """Analytic 50 % delay of one extracted segment [s]."""
-    if include_inductance:
-        return rlc_delay(
-            rlc.resistance, rlc.inductance, rlc.capacitance,
-            drive_resistance, load_capacitance,
-        )
-    return elmore_delay(
-        rlc.resistance, rlc.capacitance, drive_resistance, load_capacitance
-    )

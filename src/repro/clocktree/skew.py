@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.circuit.lint import NetlistHealthReport
 from repro.circuit.transient import TransientResult, transient_analysis
-from repro.circuit.waveform import Waveform, skew
+from repro.circuit.waveform import skew
 from repro.clocktree.extractor import ClocktreeNetlist, ClocktreeRLCExtractor
 from repro.clocktree.htree import HTree
 from repro.errors import CircuitError
@@ -57,10 +57,6 @@ class SkewResult:
     def max_delay(self) -> float:
         """Largest insertion delay [s]."""
         return max(self.delays.values())
-
-    def sink_waveform(self, sink: str) -> Waveform:
-        """Voltage waveform at a named sink."""
-        return self.result.voltage(self.sink_nodes[sink])
 
 
 def simulate_clocktree(
@@ -163,14 +159,6 @@ class SkewComparison:
         if rlc_skew == 0.0:
             return 0.0 if self.rc.skew == 0.0 else float("inf")
         return abs(self.rlc.skew - self.rc.skew) / rlc_skew
-
-    def per_sink_delay_errors(self) -> Dict[str, float]:
-        """Relative RC-vs-RLC delay error per sink."""
-        errors = {}
-        rc_delays = self.rc.delays
-        for sink, rlc_delay in self.rlc.delays.items():
-            errors[sink] = abs(rlc_delay - rc_delays[sink]) / rlc_delay
-        return errors
 
     def simulation_reports(self) -> Dict[str, Any]:
         """Per-netlist diagnostics/health dicts for RunReport v3."""

@@ -38,34 +38,15 @@ def mm(value: float) -> float:
     """Convert millimetres to metres."""
     return value * 1e-3
 
-def nm(value: float) -> float:
-    """Convert nanometres to metres."""
-    return value * 1e-9
-
-
-def to_um(value: float) -> float:
-    """Convert metres to microns."""
-    return value * 1e6
-
 
 def nH(value: float) -> float:
     """Convert nanohenries to henries."""
     return value * 1e-9
 
 
-def pH(value: float) -> float:
-    """Convert picohenries to henries."""
-    return value * 1e-12
-
-
 def to_nH(value: float) -> float:
     """Convert henries to nanohenries."""
     return value * 1e9
-
-
-def to_pH(value: float) -> float:
-    """Convert henries to picohenries."""
-    return value * 1e12
 
 
 def fF(value: float) -> float:
@@ -91,11 +72,6 @@ def to_pF(value: float) -> float:
 def ps(value: float) -> float:
     """Convert picoseconds to seconds."""
     return value * 1e-12
-
-
-def ns(value: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return value * 1e-9
 
 
 def to_ps(value: float) -> float:

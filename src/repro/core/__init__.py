@@ -14,7 +14,6 @@ from repro.core.foundations import (
     foundation1_check,
     foundation2_check,
     loop_inductance_matrix,
-    partial_foundation_checks,
 )
 from repro.core.frequency import significant_frequency
 from repro.core.technology import TechnologyTables
@@ -26,6 +25,5 @@ __all__ = [
     "foundation1_check",
     "foundation2_check",
     "loop_inductance_matrix",
-    "partial_foundation_checks",
     "significant_frequency",
 ]

@@ -257,43 +257,6 @@ class TableBasedExtractor:
             self.capacitance_table.save(directory / "capacitance.json")
 
     @classmethod
-    def from_library(
-        cls, library: Union[str, Path, object], config, frequency: float,
-        layer: Optional[str] = None,
-    ) -> "TableBasedExtractor":
-        """Assemble an extractor from a characterization library.
-
-        Queries the library by this *config*'s structure-family
-        fingerprint, quantity and *frequency* (see
-        :mod:`repro.library.store`); raises :class:`TableError` when no
-        loop-inductance table has been characterized for the family.
-        """
-        from repro.library.jobs import config_fingerprint
-        from repro.library.store import open_library
-
-        lib = open_library(library, create=False)
-        family = config_fingerprint(config)
-        criteria = {"family": family}
-        if layer is not None:
-            criteria["layer"] = layer
-        l_table = lib.get_one(quantity="loop_inductance",
-                              frequency=frequency, **criteria)
-        if l_table is None:
-            raise TableError(
-                f"library {lib.root} has no loop_inductance table for "
-                f"this structure family at {frequency:.4g} Hz"
-            )
-        return cls(
-            config=config,
-            frequency=frequency,
-            inductance_table=l_table,
-            resistance_table=lib.get_one(
-                quantity="loop_resistance", frequency=frequency, **criteria),
-            capacitance_table=lib.get_one(
-                quantity="capacitance_per_length", **criteria),
-        )
-
-    @classmethod
     def load(
         cls, directory: Union[str, Path], config, frequency: float
     ) -> "TableBasedExtractor":

@@ -17,7 +17,6 @@ way the paper's Fig. 5 does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from repro.errors import GeometryError
 from repro.geometry.trace import TraceBlock
 from repro.peec.ground_plane import GroundPlane
 from repro.peec.loop import LoopProblem
-from repro.peec.solver import Conductor, PartialInductanceSolver
 
 
 @dataclass(frozen=True)
@@ -157,58 +155,3 @@ def foundation2_check(
         full_value=full_m,
         reduced_value=pair_m,
     )
-
-
-def partial_foundation_checks(
-    block: TraceBlock,
-    frequency: Optional[float] = None,
-    n_width: int = 2,
-    n_thickness: int = 2,
-) -> List[FoundationCheck]:
-    """Foundations 1 & 2 for *partial* inductance (no ground plane).
-
-    At uniform current (``frequency=None``) the reduction is exact under
-    PEEC; at a finite frequency proximity effects introduce the small
-    deviations the check quantifies.
-    """
-    def conductors(indices):
-        return [
-            Conductor.from_bar(
-                block.traces[i].name, block.traces[i].to_bar(),
-                n_width=n_width, n_thickness=n_thickness, grading=1.5,
-            )
-            for i in indices
-        ]
-
-    def lp_matrix(indices) -> np.ndarray:
-        solver = PartialInductanceSolver(conductors(indices))
-        if frequency is None:
-            return solver.conductor_lp_matrix()
-        _, l_matrix = solver.effective_rl(frequency)
-        return l_matrix
-
-    full = lp_matrix(range(len(block)))
-    checks: List[FoundationCheck] = []
-    for i, trace in enumerate(block.traces):
-        alone = lp_matrix([i])
-        checks.append(
-            FoundationCheck(
-                description=f"Foundation 1 (partial): self Lp of {trace.name}",
-                full_value=float(full[i, i]),
-                reduced_value=float(alone[0, 0]),
-            )
-        )
-    for i in range(len(block)):
-        for j in range(i + 1, len(block)):
-            pair = lp_matrix([i, j])
-            checks.append(
-                FoundationCheck(
-                    description=(
-                        "Foundation 2 (partial): mutual Lp of "
-                        f"({block.traces[i].name}, {block.traces[j].name})"
-                    ),
-                    full_value=float(full[i, j]),
-                    reduced_value=float(pair[0, 1]),
-                )
-            )
-    return checks

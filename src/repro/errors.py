@@ -36,10 +36,6 @@ class CircuitError(ReproError):
     """A netlist is malformed (unknown node, duplicate element, ...)."""
 
 
-class ConvergenceError(SolverError):
-    """An iterative analysis failed to converge."""
-
-
 class TelemetryError(ReproError):
     """A telemetry metric, span or report is used inconsistently."""
 

@@ -114,24 +114,6 @@ class Stackup:
         self._by_name[layer.name] = layer
         self._by_index[layer.index] = layer
 
-    def vertical_separation(self, upper, lower) -> float:
-        """Dielectric gap between the bottom of *upper* and top of *lower* [m]."""
-        hi = self.layer(upper)
-        lo = self.layer(lower)
-        if hi.z_bottom < lo.z_top:
-            hi, lo = lo, hi
-        return hi.z_bottom - lo.z_top
-
-    def plane_layers_for(self, key) -> List[Layer]:
-        """Layers two levels away (N+2 / N-2) that can host local ground planes."""
-        layer = self.layer(key)
-        result = []
-        for offset in (-2, 2):
-            candidate = self._by_index.get(layer.index + offset)
-            if candidate is not None:
-                result.append(candidate)
-        return result
-
 
 def default_stackup(num_layers: int = 6, eps_r: float = EPS_R_SIO2) -> Stackup:
     """A representative late-1990s copper process stackup.

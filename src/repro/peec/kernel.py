@@ -130,16 +130,6 @@ class LpMemoCache:
         """Maximum number of cached pair values."""
         return self._capacity
 
-    def resize(self, capacity: int) -> None:
-        """Change the capacity, evicting LRU entries if shrinking."""
-        if capacity < 1:
-            raise SolverError("memo cache capacity must be >= 1")
-        with self._lock:
-            self._capacity = int(capacity)
-            while len(self._data) > self._capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
     def clear(self) -> None:
         """Drop every cached value (statistics are kept)."""
         with self._lock:
@@ -512,9 +502,3 @@ class ImpedanceFactorization:
         if b.ndim == 1:
             return self.u @ (scale * projected)
         return self.u @ (scale[:, None] * projected)
-
-    def reduced_admittance(self, omega: float, p: np.ndarray) -> np.ndarray:
-        """``P^T Z(omega)^{-1} P`` without forming ``Z^{-1}`` (Schur step)."""
-        projected = np.asarray(p).T @ self.u  # (k, n)
-        scale = self.modal_scale(omega)
-        return (projected * scale[None, :]) @ projected.T

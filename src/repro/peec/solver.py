@@ -206,29 +206,3 @@ class PartialInductanceSolver:
             z = self.conductor_impedance_matrix(frequency)
         omega = 2.0 * np.pi * frequency
         return z.real, z.imag / omega
-
-    def effective_rl_sweep(
-        self, frequencies: Sequence[float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Conductor R and L matrices across a frequency grid.
-
-        Returns ``(R, L)`` stacked as ``(n_freq, n_cond, n_cond)``
-        arrays.  The filament impedance is factored once and reused for
-        every frequency -- the factor-once sweep of the kernel layer.
-        """
-        freqs = np.asarray(list(frequencies), dtype=float)
-        if freqs.size == 0:
-            raise SolverError("sweep needs at least one frequency")
-        if np.any(freqs <= 0.0):
-            raise SolverError("frequencies must be positive for an R/L split")
-        get_registry().inc(PARTIAL_SOLVE, int(freqs.size))
-        n_cond = len(self.conductors)
-        resistance = np.empty((freqs.size, n_cond, n_cond))
-        inductance = np.empty_like(resistance)
-        with span("peec.partial_sweep", points=int(freqs.size)):
-            for k, frequency in enumerate(freqs):
-                z = self.conductor_impedance_matrix(float(frequency))
-                omega = 2.0 * np.pi * frequency
-                resistance[k] = z.real
-                inductance[k] = z.imag / omega
-        return resistance, inductance

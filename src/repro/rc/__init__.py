@@ -14,7 +14,7 @@ from repro.rc.capacitance import (
     ground_capacitance,
 )
 from repro.rc.fieldsolver2d import CrossSection2D, FieldSolver2D
-from repro.rc.resistance import ac_resistance, dc_resistance, trace_resistance
+from repro.rc.resistance import ac_resistance, dc_resistance
 from repro.rc.statistical import (
     ProcessCorners,
     ProcessVariation,
@@ -31,7 +31,6 @@ __all__ = [
     "FieldSolver2D",
     "ac_resistance",
     "dc_resistance",
-    "trace_resistance",
     "ProcessCorners",
     "ProcessVariation",
     "StatisticalRC",

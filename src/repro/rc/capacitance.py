@@ -14,7 +14,6 @@ suite against the 2-D finite-difference solver in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -175,42 +174,6 @@ def block_capacitance_matrix(
             matrix[i, i] += cc
             matrix[j, j] += cc
     return matrix
-
-
-def signal_capacitances(
-    block: TraceBlock,
-    model: CapacitanceModel,
-    signal_index: Optional[int] = None,
-):
-    """Ground and coupling capacitance seen by one signal trace.
-
-    Returns ``(c_ground, c_couplings)`` where *c_ground* lumps the plane
-    capacitance plus couplings to AC-ground traces (the paper treats
-    those as perfect grounded capacitors), and *c_couplings* maps the
-    index of each non-ground neighbour to its coupling capacitance [F].
-    """
-    if signal_index is None:
-        signals = [i for i, t in enumerate(block.traces) if not t.is_ground]
-        if len(signals) != 1:
-            raise GeometryError("specify signal_index for multi-signal blocks")
-        signal_index = signals[0]
-    matrix = block_capacitance_matrix(block, model)
-    n = len(block)
-    c_ground = matrix[signal_index, signal_index]
-    couplings = {}
-    for j in range(n):
-        if j == signal_index:
-            continue
-        c_mutual = -matrix[signal_index, j]
-        if c_mutual <= 0.0:
-            continue
-        if block.traces[j].is_ground:
-            # Already counted inside the diagonal total; the whole diagonal
-            # term acts as grounded capacitance for netlist purposes.
-            continue
-        couplings[j] = c_mutual
-        c_ground -= c_mutual
-    return c_ground, couplings
 
 
 def _require_positive(**kwargs: float) -> None:

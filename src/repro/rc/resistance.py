@@ -8,11 +8,8 @@ effective-area correction.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.constants import RHO_CU
 from repro.errors import GeometryError
-from repro.geometry.trace import Trace
 from repro.peec.analytic import skin_depth
 
 
@@ -65,19 +62,3 @@ def ac_resistance(
     delta = skin_depth(resistivity, frequency)
     area = effective_conduction_area(width, thickness, delta)
     return resistivity * length / area
-
-
-def trace_resistance(
-    trace: Trace,
-    resistivity: float = RHO_CU,
-    frequency: Optional[float] = None,
-) -> float:
-    """Resistance of a :class:`~repro.geometry.trace.Trace` [ohm].
-
-    With *frequency* given, applies the skin-effect correction.
-    """
-    if frequency is None or frequency == 0.0:
-        return dc_resistance(trace.length, trace.width, trace.thickness, resistivity)
-    return ac_resistance(
-        trace.length, trace.width, trace.thickness, frequency, resistivity
-    )

@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import TelemetryError
 
@@ -588,8 +588,3 @@ class metrics_meter:
             v for k, v in self.delta.counters.items()
             if is_solver_counter(k)
         )
-
-
-def iter_counter_items(snapshot: MetricsSnapshot) -> Iterator[Tuple[str, int]]:
-    """Counters of *snapshot* in sorted-name order (exporter helper)."""
-    return iter(sorted(snapshot.counters.items()))

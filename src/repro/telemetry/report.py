@@ -39,20 +39,8 @@ __all__ = [
     "load_report",
 ]
 
-#: Bump when the report JSON layout changes incompatibly.
-#: v2 (PR 4) added the ``coverage`` and ``table_health`` sections; v3
-#: (PR 5) added the ``simulation`` section (transient diagnostics +
-#: netlist-health summaries); v4 (PR 8) added the ``slo`` section
-#: (rolling burn-rate summary from :class:`repro.telemetry.slo.SLOMonitor`)
-#: and the ``profile`` section (sampling-profiler header +
-#: collapsed-stack hot list); v5 (PR 10) added the ``campaign`` section
-#: (sweep-campaign summary: per-status point counts, throughput, merged
-#: solver/memo economics from :mod:`repro.scenarios.sweep`).  Older
-#: reports still load (they migrate to empty sections).
+#: Bump when the report JSON layout changes; only this version loads.
 REPORT_SCHEMA_VERSION = 5
-
-#: Older schema versions :meth:`RunReport.from_dict` accepts and migrates.
-_COMPATIBLE_SCHEMA_VERSIONS = (1, 2, 3, 4, REPORT_SCHEMA_VERSION)
 
 
 @dataclass
@@ -72,28 +60,27 @@ class RunReport:
     meta: Dict[str, object] = field(default_factory=dict)
     #: Per-table lookup-domain coverage maps touched during the session
     #: (see :meth:`repro.quality.coverage.TableCoverage.to_dict`); empty
-    #: for sessions that never hit a named table and for v1 reports.
+    #: for sessions that never hit a named table.
     coverage: List[dict] = field(default_factory=list)
     #: Table-health reports attached by audited builds (see
     #: :meth:`repro.quality.audit.TableHealthReport.to_dict`).
     table_health: List[dict] = field(default_factory=list)
-    #: Simulation-observability section (v3): per-netlist transient
+    #: Simulation-observability section: per-netlist transient
     #: diagnostics and netlist-health summaries keyed by a caller-chosen
     #: label (``"rc"`` / ``"rlc"`` for the skew and fig1 experiments).
-    #: Empty for non-simulating runs and for migrated v1/v2 reports.
+    #: Empty for non-simulating runs.
     simulation: Dict[str, dict] = field(default_factory=dict)
-    #: SLO section (v4): the burn-rate summary a serving session ended
+    #: SLO section: the burn-rate summary a serving session ended
     #: with (see :meth:`repro.telemetry.slo.SLOMonitor.summary`); empty
-    #: for non-serving runs and migrated pre-v4 reports.
+    #: for non-serving runs.
     slo: Dict[str, object] = field(default_factory=dict)
-    #: Profile section (v4): sampling-profiler header + hottest stacks
+    #: Profile section: sampling-profiler header + hottest stacks
     #: (see :meth:`repro.telemetry.profiler.SamplingProfiler.summary`);
     #: empty unless the run passed ``--profile``.
     profile: Dict[str, object] = field(default_factory=dict)
-    #: Campaign section (v5): the sweep-campaign summary
+    #: Campaign section: the sweep-campaign summary
     #: (:meth:`repro.scenarios.campaign.CampaignReport.summary`) when
-    #: the session drove a parameter sweep; empty otherwise and for
-    #: migrated pre-v5 reports.
+    #: the session drove a parameter sweep; empty otherwise.
     campaign: Dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -130,9 +117,9 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
-        """Rebuild a report; v1/v2 records migrate (empty new sections)."""
+        """Rebuild a report saved at :data:`REPORT_SCHEMA_VERSION`."""
         version = data.get("schema_version")
-        if version not in _COMPATIBLE_SCHEMA_VERSIONS:
+        if version != REPORT_SCHEMA_VERSION:
             raise TelemetryError(
                 f"report schema {version!r} != supported {REPORT_SCHEMA_VERSION}"
             )
@@ -147,9 +134,6 @@ class RunReport:
             ),
             spans=list(data.get("spans", [])),
             meta=dict(data.get("meta", {})),
-            # v1 reports predate the quality sections, v1/v2 the
-            # simulation section, pre-v4 the slo/profile sections,
-            # pre-v5 the campaign section: all migrate to empty.
             coverage=list(data.get("coverage", [])),
             table_health=list(data.get("table_health", [])),
             simulation=dict(data.get("simulation", {})),
@@ -230,7 +214,7 @@ class TelemetrySession:
             self.table_health.append(dict(report))
 
     def add_simulation(self, sections: Dict[str, dict]) -> None:
-        """Attach simulation-observability sections (schema v3).
+        """Attach simulation-observability sections.
 
         *sections* maps a netlist label (``"rc"``, ``"rlc"``, ...) to a
         dict with optional ``diagnostics``
@@ -245,7 +229,7 @@ class TelemetrySession:
             self.simulation[str(label)] = dict(section)
 
     def add_slo(self, summary: Dict[str, object]) -> None:
-        """Attach an SLO summary (schema v4).
+        """Attach an SLO summary.
 
         *summary* is :meth:`repro.telemetry.slo.SLOMonitor.summary`
         output; the serve daemon calls this at drain so the report
@@ -254,7 +238,7 @@ class TelemetrySession:
         self.slo = dict(summary)
 
     def add_profile(self, summary: Dict[str, object]) -> None:
-        """Attach a sampling-profiler summary (schema v4).
+        """Attach a sampling-profiler summary.
 
         *summary* is
         :meth:`repro.telemetry.profiler.SamplingProfiler.summary`
@@ -262,17 +246,6 @@ class TelemetrySession:
         stacks live in the ``--profile`` output file, not the report.
         """
         self.profile = dict(summary)
-
-    def add_campaign(self, summary: Dict[str, object]) -> None:
-        """Attach a sweep-campaign summary (schema v5).
-
-        *summary* is
-        :meth:`repro.scenarios.campaign.CampaignReport.summary` output
-        (point counts by status, throughput, merged solver/memo
-        economics); the full per-point table lives in the ledger's
-        campaign record, not the run report.
-        """
-        self.campaign = dict(summary)
 
 
 @contextmanager
@@ -412,9 +385,8 @@ def render_report(report: RunReport, max_spans: int = 200) -> str:
                 f"p95<={hist.quantile(0.95):.0e}"
             )
 
-    # Quality sections (PR 4): render only when the report carries them,
-    # so pre-v2 reports fall through untouched.  Lazy imports keep the
-    # telemetry layer free of a hard quality dependency.
+    # Optional sections render only when the report carries them.  Lazy
+    # imports keep the telemetry layer free of a hard quality dependency.
     if report.coverage:
         from repro.quality.coverage import render_coverage
 
@@ -441,7 +413,7 @@ def render_report(report: RunReport, max_spans: int = 200) -> str:
 
 
 def _render_campaign(campaign: Dict[str, object]) -> str:
-    """Render the v5 ``campaign`` section (sweep-campaign summary)."""
+    """Render the ``campaign`` section (sweep-campaign summary)."""
     lines = [
         f"campaign {campaign.get('campaign_id') or '?'}: "
         f"{campaign.get('scenario', '?')}  "
@@ -459,7 +431,7 @@ def _render_campaign(campaign: Dict[str, object]) -> str:
 
 
 def _render_slo(slo: Dict[str, object]) -> str:
-    """Render the v4 ``slo`` section (burn-rate state per endpoint)."""
+    """Render the ``slo`` section (burn-rate state per endpoint)."""
     lines = [f"slo status: {slo.get('status', '?')}"]
     endpoints = slo.get("endpoints") or {}
     for endpoint in sorted(endpoints):
@@ -478,7 +450,7 @@ def _render_slo(slo: Dict[str, object]) -> str:
 
 
 def _render_profile(profile: Dict[str, object]) -> str:
-    """Render the v4 ``profile`` section (hottest sampled stacks)."""
+    """Render the ``profile`` section (hottest sampled stacks)."""
     lines = [
         "profile: "
         f"{profile.get('samples', 0)} samples "
@@ -491,7 +463,7 @@ def _render_profile(profile: Dict[str, object]) -> str:
 
 
 def _render_simulation(simulation: Dict[str, dict]) -> str:
-    """Render the v3 ``simulation`` section (diagnostics + health)."""
+    """Render the ``simulation`` section (diagnostics + health)."""
     lines = [f"simulation ({len(simulation)} netlist(s))"]
     for label in sorted(simulation):
         section = simulation[label]

@@ -4,7 +4,7 @@ Every analysis factors the CSC ``G`` / ``C`` pair with ``splu``.  The
 oracle below shares no code with :mod:`repro.circuit.backend`: it reads
 the stamped matrices as dense arrays (``stamps.g_csc().toarray()``) and
 solves them with plain numpy/LAPACK -- ``np.linalg.solve`` for DC and
-the moment recursion, a dense-LU trapezoidal / backward-Euler stepper
+AC, a dense-LU trapezoidal / backward-Euler stepper
 for transients, ``np.linalg.lstsq`` for a singular DC start.  Production
 and oracle must agree to solver roundoff (<= 1e-10 relative -- far
 tighter than any physical tolerance in the suite).
@@ -30,7 +30,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.circuit.ac import ac_analysis
 from repro.circuit.dc import operating_point
 from repro.circuit.diagnostics import LTE_SUBSAMPLE_PROBES, LTE_SUBSAMPLE_SIZE
-from repro.circuit.moments import compute_moments
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import PulseSource
 from repro.circuit.transient import transient_analysis
@@ -101,12 +100,6 @@ class DenseOracle:
             for f in frequencies
         ])
 
-    def moments(self, order):
-        out = [self.dc()]
-        for _ in range(order):
-            out.append(np.linalg.solve(self.g_loaded, -(self.c @ out[-1])))
-        return np.array(out)
-
     def state(self, node_voltages, branch_currents, k=None):
         """Production result dicts laid out as the oracle's x vector(s)."""
         a = self.assembled
@@ -159,14 +152,6 @@ def check_ac(circuit, frequencies):
     for col in range(reference.shape[1]):
         for part in (np.real, np.imag):
             assert_agreement(part(x[:, col]), part(reference[:, col]))
-
-
-def check_moments(circuit, order=4):
-    reference = DenseOracle(circuit).moments(order)
-    production = compute_moments(circuit, order=order).moments
-    # Moment magnitudes fall as (RC)^k; compare order by order.
-    for k in range(order + 1):
-        assert_agreement(production[k], reference[k])
 
 
 # ----------------------------------------------------------------------
@@ -265,11 +250,6 @@ class TestLadderAgreement:
     def test_transient_waveforms(self, stages, method):
         check_transient(_ladder(stages), t_stop=2e-9, dt=1e-11, method=method)
 
-    @given(stages=ladders)
-    @FAST
-    def test_moments(self, stages):
-        check_moments(_ladder(stages))
-
 
 class TestCoupledLadderAgreement:
     """Every inductor pair coupled: the densest C block MNA produces."""
@@ -287,11 +267,6 @@ class TestCoupledLadderAgreement:
     def test_transient_waveforms(self, stages, k, method):
         check_transient(_ladder(stages, coupling=k), t_stop=2e-9, dt=1e-11,
                         method=method)
-
-    @given(stages=coupled_ladders, k=couplings)
-    @FAST
-    def test_moments(self, stages, k):
-        check_moments(_ladder(stages, coupling=k))
 
     @given(stages=coupled_ladders, k=couplings)
     @FAST
@@ -315,9 +290,6 @@ class TestBusDeckAgreement:
 
     def test_dc(self, bus_circuit):
         check_dc(bus_circuit)
-
-    def test_moments(self, bus_circuit):
-        check_moments(bus_circuit)
 
 
 # ----------------------------------------------------------------------

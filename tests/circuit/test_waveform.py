@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit.waveform import Waveform, arrival_times, skew
+from repro.circuit.waveform import Waveform, skew
 from repro.errors import CircuitError
 
 
@@ -110,25 +110,6 @@ class TestOvershoot:
         assert w.overshoot(reference=-1.0) > 0.1
 
 
-class TestSettling:
-    def test_settles_eventually(self):
-        w = ringing()
-        t_settle = w.settling_time(tolerance=0.05)
-        assert t_settle is not None
-        assert 0 < t_settle < w.time[-1]
-
-    def test_already_settled(self):
-        t = np.linspace(0, 1, 10)
-        w = Waveform(t, np.ones(10))
-        assert w.settling_time() == pytest.approx(0.0)
-
-    def test_tighter_tolerance_settles_later(self):
-        w = ringing()
-        loose = w.settling_time(tolerance=0.2)
-        tight = w.settling_time(tolerance=0.02)
-        assert tight >= loose
-
-
 class TestSkew:
     def test_max_minus_min(self):
         assert skew({"a": 10e-12, "b": 17e-12, "c": 12e-12}) == pytest.approx(
@@ -142,14 +123,14 @@ class TestSkew:
         with pytest.raises(CircuitError):
             skew({})
 
-    def test_arrival_times_helper(self):
+    def test_skew_of_measured_delays(self):
         t = np.linspace(0, 10e-9, 1001)
         source = Waveform(t, np.clip((t - 1e-9) / 1e-10, 0, 1))
         sinks = {
             "near": Waveform(t, np.clip((t - 2e-9) / 1e-10, 0, 1)),
             "far": Waveform(t, np.clip((t - 4e-9) / 1e-10, 0, 1)),
         }
-        arrivals = arrival_times(source, sinks)
+        arrivals = {name: source.delay_to(sink) for name, sink in sinks.items()}
         assert arrivals["near"] == pytest.approx(1e-9, rel=1e-6)
         assert arrivals["far"] == pytest.approx(3e-9, rel=1e-6)
         assert skew(arrivals) == pytest.approx(2e-9, rel=1e-6)

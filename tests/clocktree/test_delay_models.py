@@ -10,9 +10,7 @@ from repro.clocktree.delay_models import (
     damping_factor,
     elmore_delay,
     rlc_delay,
-    segment_delay,
 )
-from repro.clocktree.extractor import SegmentRLC
 from repro.errors import CircuitError
 
 
@@ -101,16 +99,3 @@ class TestRLCDelay:
         rc_est = elmore_delay(10.0, 1.5e-12, 15.0, 20e-15)
         rlc_est = rlc_delay(10.0, 1.5e-9, 1.5e-12, 15.0, 20e-15)
         assert rlc_est > rc_est
-
-
-class TestSegmentDelay:
-    def test_uses_extracted_totals(self):
-        rlc = SegmentRLC(length=1e-3, resistance=12.0, inductance=1e-9,
-                         capacitance=1e-12)
-        with_l = segment_delay(rlc, drive_resistance=15.0,
-                               load_capacitance=30e-15)
-        without_l = segment_delay(rlc, drive_resistance=15.0,
-                                  load_capacitance=30e-15,
-                                  include_inductance=False)
-        assert with_l > 0 and without_l > 0
-        assert with_l != without_l

@@ -1,5 +1,6 @@
 """TableBasedExtractor: characterize, look up, validate, persist."""
 
+import statistics
 import warnings
 
 import pytest
@@ -8,6 +9,7 @@ from repro.constants import GHz, um
 from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.core.extraction import TableBasedExtractor
 from repro.errors import ExtrapolationWarning, TableError
+from repro.telemetry import metrics_meter
 
 WIDTHS = [um(5), um(10), um(15)]
 LENGTHS = [um(500), um(1000), um(2000)]
@@ -60,8 +62,13 @@ class TestLookup:
         assert probe.relative_error < 0.02
 
     def test_lookup_much_faster_than_solve(self, extractor):
-        probe = extractor.accuracy_probe(um(8), um(1400))
-        assert probe.speedup > 3
+        # One wall-clock sample is noise-prone; bound the median of five.
+        speedups = [extractor.accuracy_probe(um(8), um(1400)).speedup
+                    for _ in range(5)]
+        assert statistics.median(speedups) > 3
+        with metrics_meter() as meter:
+            extractor.loop_inductance(um(8), um(1400))
+        assert meter.total == 0, meter.counts
 
     def test_resistance_lookup(self, extractor):
         assert extractor.loop_resistance(um(10), um(1000)) > 0

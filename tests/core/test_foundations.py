@@ -8,7 +8,6 @@ from repro.core.foundations import (
     foundation1_check,
     foundation2_check,
     loop_inductance_matrix,
-    partial_foundation_checks,
 )
 from repro.errors import GeometryError
 from repro.geometry.trace import TraceBlock
@@ -90,35 +89,3 @@ class TestLoopFoundations:
         assert degenerate.relative_error == 0.0
         infinite = FoundationCheck("x", 0.0, 1.0)
         assert infinite.relative_error == float("inf")
-
-
-class TestPartialFoundations:
-    def test_exact_at_uniform_current(self):
-        block = TraceBlock.from_widths_and_spacings(
-            widths=[um(2)] * 3, spacings=[um(4)] * 2, length=um(500),
-            thickness=um(1), ground_flags=[False] * 3,
-        )
-        checks = partial_foundation_checks(block, frequency=None,
-                                           n_width=2, n_thickness=1)
-        # under PEEC the reduction is exact for uniform current
-        for check in checks:
-            assert check.relative_error < 1e-9
-
-    def test_small_proximity_deviation_at_frequency(self):
-        block = TraceBlock.from_widths_and_spacings(
-            widths=[um(5)] * 3, spacings=[um(2)] * 2, length=um(500),
-            thickness=um(2), ground_flags=[False] * 3,
-        )
-        checks = partial_foundation_checks(block, frequency=GHz(10),
-                                           n_width=3, n_thickness=2)
-        for check in checks:
-            assert check.relative_error < 0.05   # small but nonzero
-
-    def test_check_count(self):
-        block = TraceBlock.from_widths_and_spacings(
-            widths=[um(2)] * 3, spacings=[um(4)] * 2, length=um(300),
-            thickness=um(1), ground_flags=[False] * 3,
-        )
-        checks = partial_foundation_checks(block, n_width=1, n_thickness=1)
-        # 3 self checks + 3 pair checks
-        assert len(checks) == 6

@@ -66,23 +66,6 @@ class TestStackup:
         with pytest.raises(StackupError):
             Stackup(layers=[make_layer()], eps_r=0.5)
 
-    def test_vertical_separation_symmetric(self):
-        stack = default_stackup(4)
-        gap_a = stack.vertical_separation("M3", "M2")
-        gap_b = stack.vertical_separation("M2", "M3")
-        assert gap_a == pytest.approx(gap_b)
-        assert gap_a > 0
-
-    def test_plane_layers_two_away(self):
-        stack = default_stackup(6)
-        planes = stack.plane_layers_for("M4")
-        assert sorted(l.name for l in planes) == ["M2", "M6"]
-
-    def test_plane_layers_at_edges(self):
-        stack = default_stackup(3)
-        assert [l.name for l in stack.plane_layers_for("M1")] == ["M3"]
-        assert [l.name for l in stack.plane_layers_for("M3")] == ["M1"]
-
 
 class TestDefaultStackup:
     def test_layer_count(self):

@@ -11,9 +11,7 @@ import pytest
 
 from repro.clocktree.extractor import ClocktreeRLCExtractor
 from repro.constants import GHz, um
-from repro.core.extraction import TableBasedExtractor
 from repro.core.frequency import significant_frequency
-from repro.errors import TableError
 from repro.experiments.htree_skew import default_htree, run_htree_skew
 from repro.library import (
     BuildRunner,
@@ -89,20 +87,23 @@ class TestWarmExtraction:
         assert warm_rlc.resistance == pytest.approx(
             cold_rlc.resistance, rel=0.05)
 
-    def test_table_based_extractor_from_library(self, warm_library):
+    def test_single_lookup_zero_solver_calls(self, warm_library):
         root, htree, frequency = warm_library
-        tbe = TableBasedExtractor.from_library(root, htree.config, frequency)
+        extractor = ClocktreeRLCExtractor(
+            htree.config, frequency=frequency, library=root)
         with metrics_meter() as meter:
-            value = tbe.loop_inductance(um(10), um(2000))
-        assert value > 0.0
+            rlc = extractor.segment_rlc(um(2000), signal_width=um(10))
+        assert rlc.inductance > 0.0
         assert meter.total == 0
 
-    def test_from_library_missing_family_raises(self, warm_library, tmp_path):
+    def test_empty_library_attaches_no_tables(self, warm_library, tmp_path):
         _, htree, frequency = warm_library
         TableLibrary(tmp_path / "empty")  # exists but has no tables
-        with pytest.raises(TableError):
-            TableBasedExtractor.from_library(
-                tmp_path / "empty", htree.config, frequency)
+        extractor = ClocktreeRLCExtractor(
+            htree.config, frequency=frequency, library=tmp_path / "empty")
+        assert extractor.inductance_table is None
+        assert extractor.resistance_table is None
+        assert extractor.capacitance_table is None
 
     def test_other_family_not_matched(self, warm_library):
         root, htree, frequency = warm_library

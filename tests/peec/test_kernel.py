@@ -308,14 +308,6 @@ class TestLpMemoCache:
         assert missing == [1]
         assert cache.evictions == 1
 
-    def test_resize_shrinks(self):
-        cache = LpMemoCache(capacity=8)
-        cache.store([bytes([i]) for i in range(8)], list(range(8)))
-        cache.resize(3)
-        assert len(cache) == 3
-        with pytest.raises(SolverError):
-            cache.resize(0)
-
     def test_stats_and_hit_rate(self):
         cache = LpMemoCache()
         assert cache.hit_rate == 0.0
@@ -385,16 +377,6 @@ class TestImpedanceFactorization:
         want = reference_solve(self.r, self.lp, omega, rhs.astype(complex))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    def test_reduced_admittance_matches_schur(self):
-        p = np.zeros((self.fact.n, 2))
-        p[: self.fact.n // 2, 0] = 1.0
-        p[self.fact.n // 2:, 1] = 1.0
-        omega = 2 * np.pi * 1e9
-        got = self.fact.reduced_admittance(omega, p)
-        z = np.diag(self.r).astype(complex) + 1j * omega * self.lp
-        want = p.T @ np.linalg.solve(z, p.astype(complex))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
     def test_tau_nonnegative_and_sorted(self):
         assert np.all(self.fact.tau >= -1e-30)
         assert np.all(np.diff(self.fact.tau) >= 0)
@@ -433,23 +415,6 @@ class TestSolverFactoredReduction:
             want = np.linalg.inv(p.T @ np.linalg.solve(z_fil, p.astype(complex)))
             got = solver.conductor_impedance_matrix(f)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-    def test_sweep_matches_pointwise(self):
-        solver = self._solver()
-        freqs = [1e8, 1e9, 1e10]
-        r_sweep, l_sweep = solver.effective_rl_sweep(freqs)
-        assert r_sweep.shape == (3, 2, 2)
-        for k, f in enumerate(freqs):
-            r_pt, l_pt = solver.effective_rl(f)
-            np.testing.assert_allclose(r_sweep[k], r_pt, rtol=1e-12)
-            np.testing.assert_allclose(l_sweep[k], l_pt, rtol=1e-12)
-
-    def test_sweep_validation(self):
-        solver = self._solver()
-        with pytest.raises(SolverError):
-            solver.effective_rl_sweep([])
-        with pytest.raises(SolverError):
-            solver.effective_rl_sweep([1e9, 0.0])
 
 
 class TestNetworkFactoredVsDirect:

@@ -13,7 +13,6 @@ from repro.rc.capacitance import (
     coupling_capacitance,
     ground_capacitance,
     shielded_ground_capacitance,
-    signal_capacitances,
 )
 
 
@@ -130,26 +129,3 @@ class TestBlockMatrix:
             CapacitanceModel(height_below=0.0)
         with pytest.raises(GeometryError):
             CapacitanceModel(height_below=um(1), neighbour_range=0)
-
-
-class TestSignalCapacitances:
-    def test_cpw_all_capacitance_grounded(self):
-        cpw = TraceBlock.coplanar_waveguide(
-            signal_width=um(10), ground_width=um(5), spacing=um(1),
-            length=um(1000), thickness=um(2),
-        )
-        c_ground, couplings = signal_capacitances(cpw, CapacitanceModel(um(2)))
-        assert c_ground > 0
-        assert couplings == {}   # both neighbours are AC grounds
-
-    def test_signal_neighbours_reported(self):
-        b = block(3)
-        c_ground, couplings = signal_capacitances(
-            b, CapacitanceModel(um(1)), signal_index=1
-        )
-        assert set(couplings) == {0, 2}
-        assert all(v > 0 for v in couplings.values())
-
-    def test_ambiguous_signal_rejected(self):
-        with pytest.raises(GeometryError):
-            signal_capacitances(block(3), CapacitanceModel(um(1)))

@@ -5,13 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constants import RHO_CU, um
 from repro.errors import GeometryError
-from repro.geometry.trace import Trace
 from repro.peec.analytic import skin_depth
 from repro.rc.resistance import (
     ac_resistance,
     dc_resistance,
     effective_conduction_area,
-    trace_resistance,
 )
 
 
@@ -94,15 +92,3 @@ class TestACResistance:
     def test_rejects_negative_frequency(self):
         with pytest.raises(GeometryError):
             ac_resistance(um(1000), um(5), um(2), -1.0)
-
-
-class TestTraceResistance:
-    def test_matches_dc_formula(self):
-        trace = Trace(width=um(5), length=um(1000), thickness=um(2))
-        assert trace_resistance(trace) == pytest.approx(
-            dc_resistance(um(1000), um(5), um(2))
-        )
-
-    def test_frequency_aware(self):
-        trace = Trace(width=um(10), length=um(1000), thickness=um(2))
-        assert trace_resistance(trace, frequency=20e9) > trace_resistance(trace)

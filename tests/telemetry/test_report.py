@@ -135,41 +135,19 @@ class TestPersistence:
 
 
 class TestSchemaMigration:
-    """Pre-PR-4 (v1) reports must keep loading and rendering cleanly."""
+    """Reports load only at the current schema; older ones are refused."""
 
-    def _v1_payload(self) -> dict:
-        data = RunReport(
-            command="repro fig1",
-            started_at=1700000000.0,
-            duration=0.5,
-            metrics=MetricsSnapshot(counters={"loop_solve": 2}),
-            spans=[{"name": "root", "duration": 0.4, "status": "ok"}],
-        ).to_dict()
-        # rewind to the v1 shape: no coverage / table_health / simulation
-        data["schema_version"] = 1
-        del data["coverage"]
-        del data["table_health"]
-        del data["simulation"]
-        return data
-
-    def test_v1_report_loads_with_empty_quality_sections(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(self._v1_payload()))
-        report = load_report(path)
-        assert report.coverage == []
-        assert report.table_health == []
-        assert report.metrics.counter("loop_solve") == 2
-
-    def test_v1_report_renders_without_quality_sections(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(self._v1_payload()))
-        text = render_report(load_report(path))
-        assert "repro fig1" in text
-        assert "lookup-domain coverage" not in text
-        assert "table health" not in text
+    def test_pre_v5_report_rejected(self, tmp_path):
+        data = RunReport(command="repro fig1").to_dict()
+        data["schema_version"] = 4
+        del data["campaign"]
+        path = tmp_path / "v4.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(TelemetryError, match="schema 4"):
+            load_report(path)
 
     def test_saved_reports_are_v4(self, tmp_path):
-        path = tmp_path / "v4.json"
+        path = tmp_path / "v5.json"
         RunReport(command="x").save(path)
         data = json.loads(path.read_text())
         assert data["schema_version"] == 5
@@ -178,38 +156,9 @@ class TestSchemaMigration:
         assert data["simulation"] == {}
         assert data["slo"] == {}
         assert data["profile"] == {}
-
-    def test_v3_report_loads_with_empty_observability_sections(
-        self, tmp_path
-    ):
-        data = RunReport(
-            command="repro serve",
-            simulation={"rc": {"netlist_health": {"clean": True}}},
-        ).to_dict()
-        # rewind to the v3 shape: no slo / profile sections
-        data["schema_version"] = 3
-        del data["slo"]
-        del data["profile"]
-        path = tmp_path / "v3.json"
-        path.write_text(json.dumps(data))
-        report = load_report(path)
-        assert report.slo == {}
-        assert report.profile == {}
-        assert report.simulation["rc"]["netlist_health"]["clean"] is True
-
-    def test_v2_report_loads_with_empty_simulation(self, tmp_path):
-        data = RunReport(
-            command="repro skew",
-            coverage=[{"table": "t", "lookups": 1}],
-        ).to_dict()
-        # rewind to the v2 shape: no simulation section
-        data["schema_version"] = 2
-        del data["simulation"]
-        path = tmp_path / "v2.json"
-        path.write_text(json.dumps(data))
-        report = load_report(path)
-        assert report.simulation == {}
-        assert report.coverage == [{"table": "t", "lookups": 1}]
+        text = render_report(load_report(path))
+        assert "lookup-domain coverage" not in text
+        assert "table health" not in text
 
     def test_v4_observability_sections_roundtrip(self, tmp_path):
         report = RunReport(

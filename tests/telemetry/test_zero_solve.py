@@ -10,7 +10,6 @@ import pytest
 
 from repro.clocktree.extractor import ClocktreeRLCExtractor
 from repro.constants import um
-from repro.core.extraction import TableBasedExtractor
 from repro.core.frequency import significant_frequency
 from repro.experiments.htree_skew import default_htree
 from repro.library import build_library, standard_clocktree_jobs
@@ -57,12 +56,14 @@ class TestWarmPathViaRegistry:
 
     def test_warm_lookups_observe_latency(self, warm_library):
         root, htree, frequency = warm_library
-        tbe = TableBasedExtractor.from_library(root, htree.config, frequency)
+        extractor = ClocktreeRLCExtractor(
+            htree.config, frequency=frequency, library=root)
         with metrics_meter(get_registry()) as meter:
-            assert tbe.loop_inductance(um(10), um(2000)) > 0.0
-            assert tbe.loop_resistance(um(10), um(2000)) > 0.0
+            rlc = extractor.segment_rlc(um(2000), signal_width=um(10))
+        assert rlc.inductance > 0.0 and rlc.resistance > 0.0
+        # One timed lookup each for L, R and C.
         hist = meter.delta.histogram("lookup_latency_seconds")
-        assert hist is not None and hist.count == 2
+        assert hist is not None and hist.count == 3
         assert meter.counts.get(LOOP_SOLVE, 0) == 0
 
     def test_cold_path_still_counts(self, warm_library):

@@ -28,7 +28,6 @@ def test_copper_less_resistive_than_aluminium():
 @pytest.mark.parametrize(
     "forward,inverse,value",
     [
-        (c.um, c.to_um, 12.5),
         (c.nH, c.to_nH, 3.3),
         (c.pF, c.to_pF, 0.8),
         (c.fF, c.to_fF, 47.0),
@@ -46,19 +45,3 @@ def test_um_scale():
 
 def test_mm_scale():
     assert c.mm(1.0) == 1e-3
-
-
-def test_nm_scale():
-    assert c.nm(1.0) == 1e-9
-
-
-def test_nh_vs_ph():
-    assert c.nH(1.0) == pytest.approx(1000.0 * c.pH(1.0))
-
-
-def test_ns_vs_ps():
-    assert c.ns(1.0) == pytest.approx(1000.0 * c.ps(1.0))
-
-
-def test_to_ph():
-    assert c.to_pH(1e-12) == pytest.approx(1.0)
