@@ -5,7 +5,10 @@ stops being *feasible* a few thousand unknowns in (10^5 squared doubles
 is 80 GB before the first flop), while an extracted clocktree's matrix
 holds a handful of entries per row.  These benchmarks measure the
 transient throughput on constant-RLC H-tree netlists and record it into
-``BENCH_transient.json`` at the repo root:
+``BENCH_transient.latest.json`` at the repo root (gitignored).  The
+committed ``BENCH_transient.json`` is the reference record: a run never
+rewrites it, and ``repro bench diff BENCH_transient.json
+BENCH_transient.latest.json`` compares a fresh run against it.
 
 1. **Sparse throughput** (CI): steps/sec on a ~12.5k-unknown tree.
 2. **Chip scale** (``-m slow``): a >= 10^5-unknown H-tree integrated
@@ -29,7 +32,9 @@ from repro.clocktree.extractor import ClocktreeRLCExtractor, SegmentRLC
 from repro.clocktree.htree import HTree
 from repro.constants import GHz, fF, ps, um
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_transient.json"
+RESULTS_PATH = (
+    Path(__file__).resolve().parent.parent / "BENCH_transient.latest.json"
+)
 
 #: 200 steps, the paper-style skew-simulation horizon.
 CHIP_STEPS = 200

@@ -10,6 +10,17 @@ clocktree holds a handful of entries per row, so one path serves every
 size: a 10^5-unknown netlist factorizes in memory a dense matrix could
 not even allocate (10^5 squared doubles is 80 GB), and on paper-scale
 H-trees (80-400 unknowns) ``splu`` beats dense LAPACK LU as well.
+
+Every MNA system matrix (``G``, ``2C/dt + G``, ``G + jwC``) is nearly
+structurally symmetric: every stamp but a VCVS control entry (a
+repeater stage) writes both ``(i, j)`` and ``(j, i)``.  So ``splu``
+runs in SuperLU's symmetric mode with a minimum-degree ordering of
+``A^T + A``: the ordering sees the pattern, and the diagonal is tried
+first as the pivot.  SuperLU's default pivot threshold still applies,
+so a tiny or zero diagonal, such as a voltage-source row, gets an
+off-diagonal pivot.  The fill barely moves against SuperLU's default
+(COLAMD, unsymmetric mode), but each per-step solve takes about
+0.55-0.6x the time (DESIGN.md section 4f has the measurements).
 """
 
 from __future__ import annotations
@@ -39,7 +50,13 @@ class SparseFactorization:
             raise SolverError(f"matrix must be square, got {csc.shape}")
         self.n = csc.shape[0]
         try:
-            self._lu = splu(csc)
+            # Order A^T + A and prefer diagonal pivots (module docstring);
+            # the default pivot threshold still guards a tiny diagonal.
+            self._lu = splu(
+                csc,
+                permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True},
+            )
         except (RuntimeError, ValueError) as exc:
             raise SolverError(f"singular system matrix: {exc}") from exc
         get_registry().inc(SOLVER_FACTOR_SPARSE)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.constants import RHO_CU, um
+from repro.constants import RHO_CU
 from repro.errors import GeometryError
 from repro.geometry.primitives import Point3D, RectBar
 from repro.geometry.trace import TraceBlock

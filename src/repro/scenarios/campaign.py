@@ -21,7 +21,7 @@ auditable long after the sweep process exits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.telemetry.registry import MetricsSnapshot, is_solver_counter
 

@@ -79,8 +79,8 @@ class RunReport:
     #: empty unless the run passed ``--profile``.
     profile: Dict[str, object] = field(default_factory=dict)
     #: Campaign section: the sweep-campaign summary
-    #: (:meth:`repro.scenarios.campaign.CampaignReport.summary`) when
-    #: the session drove a parameter sweep; empty otherwise.
+    #: (:meth:`repro.scenarios.campaign.CampaignReport.summary`) in the
+    #: report ``repro sweep run --telemetry`` saves; empty otherwise.
     campaign: Dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -177,7 +177,6 @@ class TelemetrySession:
         self.simulation: Dict[str, dict] = {}
         self.slo: Dict[str, object] = {}
         self.profile: Dict[str, object] = {}
-        self.campaign: Dict[str, object] = {}
         #: The finished report; available after the ``with`` block exits.
         self.report: Optional[RunReport] = None
 
@@ -298,7 +297,6 @@ def telemetry_session(command: str) -> Iterator[TelemetrySession]:
             simulation=dict(session.simulation),
             slo=dict(session.slo),
             profile=dict(session.profile),
-            campaign=dict(session.campaign),
         )
 
 

@@ -57,6 +57,19 @@ class TestSparseFactorization:
         with pytest.raises(SolverError, match="singular"):
             SparseFactorization(singular)
 
+    def test_tiny_diagonal_still_pivots(self):
+        # Symmetric mode prefers diagonal pivots; the threshold must still
+        # swap a 1e-14 diagonal for its unit off-diagonal.  Taking the
+        # diagonal as it comes (diag_pivot_thresh=0) is off by ~1e-4.
+        n = 6
+        a = (np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+             + np.diag([1e-14] * (n - 1) + [1.0]))
+        b = np.arange(1.0, n + 1)
+        expected = np.linalg.solve(a, b)
+        x = SparseFactorization(sparse.csc_matrix(a)).solve(b)
+        assert (np.max(np.abs(x - expected))
+                <= 1e-12 * np.max(np.abs(expected)))
+
     def test_factor_counter_ticks(self):
         registry = get_registry()
         registry.reset()
