@@ -9,20 +9,7 @@ wins, by roughly what factor, where the crossovers fall.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Sequence, Union
-
-
-def record_bench(path: Union[str, Path], update: dict) -> dict:
-    """Read-merge-write one ``BENCH_*.json`` record with provenance.
-
-    Thin delegate to :func:`repro.quality.regress.record_bench` -- one
-    implementation shared with ``repro bench serve`` -- kept here so
-    every benchmark module keeps importing from ``conftest``.
-    """
-    from repro.quality.regress import record_bench as _record_bench
-
-    return _record_bench(path, update)
+from typing import Optional, Sequence
 
 
 def report(title: str, rows: Sequence[Sequence[str]],

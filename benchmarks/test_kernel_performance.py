@@ -1,8 +1,11 @@
 """Fast-path PEEC kernel economics: dedup assembly + factor-once sweeps.
 
 Three claims the kernel layer makes, measured on reference meshes and
-recorded into ``BENCH_kernel.json`` at the repo root (the README's
-kernel table is regenerated from that file):
+recorded into ``BENCH_kernel.latest.json`` at the repo root
+(gitignored).  The committed ``BENCH_kernel.json`` is the reference
+record the README's kernel table quotes: a run never rewrites it, and
+``repro diff bench BENCH_kernel.json BENCH_kernel.latest.json``
+compares a fresh run against it.
 
 1. **Dedup assembly wins.**  On a characterization-grade mesh (400
    filaments) canonical-signature deduplication evaluates a fraction of
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import record_bench, report
+from conftest import report
 
 from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.constants import GHz, um
@@ -42,6 +45,7 @@ from repro.peec.kernel import (
 )
 from repro.peec.loop import LoopProblem
 from repro.peec.mesh import mesh_bar
+from repro.quality.regress import record_bench
 from repro.telemetry import (
     LP_MEMO_HIT,
     LP_MEMO_MISS,
@@ -49,16 +53,18 @@ from repro.telemetry import (
     get_registry,
 )
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
-TELEMETRY_PATH = RESULTS_PATH.with_name("BENCH_kernel_telemetry.json")
+RESULTS_PATH = (
+    Path(__file__).resolve().parent.parent / "BENCH_kernel.latest.json"
+)
+TELEMETRY_PATH = RESULTS_PATH.with_name("BENCH_kernel_telemetry.latest.json")
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _telemetry_artifact():
-    """Trace the whole benchmark session into BENCH_kernel_telemetry.json.
+    """Trace the benchmark session into BENCH_kernel_telemetry.latest.json.
 
     The report (span tree + counter/histogram totals) is uploaded by CI
-    next to ``BENCH_kernel.json`` so a regression in the numbers comes
+    next to ``BENCH_kernel.latest.json`` so a regression in the numbers comes
     with the trace that explains it.  Registry and tracer are cleared up
     front so the artifact is a clean delta; note that the memo test's
     own mid-run ``reset_solver_calls()`` means counter totals cover the
@@ -74,7 +80,7 @@ def _telemetry_artifact():
 
 
 def _record(update: dict) -> dict:
-    """Merge *update* into BENCH_kernel.json, stamping run provenance."""
+    """Merge *update* into the latest record, stamping run provenance."""
     return record_bench(RESULTS_PATH, update)
 
 

@@ -12,24 +12,30 @@ Two claims the library subsystem makes, measured on a small CPW grid:
    by spline lookup in microseconds, and a *whole* repeated experiment
    performs zero solver calls.
 
-The measured numbers are recorded into ``BENCH_library.json`` at the
-repo root so the README's warm-vs-cold table stays reproducible.
+The measured numbers are recorded into ``BENCH_library.latest.json``
+at the repo root (gitignored).  The committed ``BENCH_library.json`` is
+the reference record the README's warm-vs-cold table quotes: a run
+never rewrites it, and ``repro diff bench BENCH_library.json
+BENCH_library.latest.json`` compares a fresh run against it.
 """
 
 import os
 import time
 from pathlib import Path
 
-from conftest import record_bench, report
+from conftest import report
 
 from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.clocktree.extractor import ClocktreeRLCExtractor
 from repro.constants import GHz, um
 from repro.library import LoopTableJob, TableLibrary, build_library
 from repro.peec.kernel import lp_memo_cache
+from repro.quality.regress import record_bench
 from repro.telemetry import metrics_meter
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_library.json"
+RESULTS_PATH = (
+    Path(__file__).resolve().parent.parent / "BENCH_library.latest.json"
+)
 
 CONFIG = CoplanarWaveguideConfig(
     signal_width=um(10), ground_width=um(5), spacing=um(1),
@@ -53,7 +59,7 @@ def _jobs():
 
 
 def _record(update: dict) -> dict:
-    """Merge *update* into BENCH_library.json, stamping run provenance."""
+    """Merge *update* into the latest record, stamping run provenance."""
     return record_bench(RESULTS_PATH, update)
 
 

@@ -10,18 +10,19 @@ in-process daemon over a freshly built kit.
 Results land in ``BENCH_serve.json`` at the repo root: latency
 p50/p95/p99 (lower-is-better under the regression watchdog's
 ``seconds`` marker), requests/second (higher-is-better via
-``per_second``), and the cache hit rate.  ``repro bench diff`` gates
+``per_second``), and the cache hit rate.  ``repro diff bench`` gates
 them like every other committed bench record.
 """
 
 import time
 from pathlib import Path
 
-from conftest import record_bench, report
+from conftest import report
 
 from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.constants import GHz, um
 from repro.library import build_library, standard_clocktree_jobs
+from repro.quality.regress import record_bench
 from repro.serve import ExtractionService, start_server
 from repro.serve.loadgen import run_load
 from repro.telemetry import metrics_meter

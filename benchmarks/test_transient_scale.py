@@ -7,7 +7,7 @@ holds a handful of entries per row.  These benchmarks measure the
 transient throughput on constant-RLC H-tree netlists and record it into
 ``BENCH_transient.latest.json`` at the repo root (gitignored).  The
 committed ``BENCH_transient.json`` is the reference record: a run never
-rewrites it, and ``repro bench diff BENCH_transient.json
+rewrites it, and ``repro diff bench BENCH_transient.json
 BENCH_transient.latest.json`` compares a fresh run against it.
 
 1. **Sparse throughput** (CI): steps/sec on a ~12.5k-unknown tree.
@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import record_bench, report
+from conftest import report
 
 from repro.circuit.transient import transient_analysis
 from repro.clocktree.buffers import ClockBuffer
@@ -31,6 +31,7 @@ from repro.clocktree.configs import CoplanarWaveguideConfig
 from repro.clocktree.extractor import ClocktreeRLCExtractor, SegmentRLC
 from repro.clocktree.htree import HTree
 from repro.constants import GHz, fF, ps, um
+from repro.quality.regress import record_bench
 
 RESULTS_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_transient.latest.json"

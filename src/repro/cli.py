@@ -1,13 +1,12 @@
 """Command-line front end: run the paper's experiments from a shell.
 
-Every experiment executes through the scenario runner.  ``repro run
-<scenario> [--PARAM=value ...]`` is the general form; the legacy
-commands (``repro fig1``, ``fig5``, ``table1``, ``scaling``, ``skew``,
-``variation``, ``accuracy``, ``crosstalk``) are rows of :data:`ALIASES`
-that map their flags onto scenario parameters.  Each alias records one
-ledger run and prints its scenario's ``render``.  The other commands
-build design kits (``characterize``, ``library``), export and lint
-decks, serve, and inspect runs, sweeps, benches and telemetry reports.
+Every experiment is a catalog scenario, run by ``repro run <scenario>
+[--PARAM=value ...] [--force]``: one ledger run, then the scenario's
+``render``.  ``repro diff bench|run|sweep BASELINE... CANDIDATE`` is the
+one comparison, for bench records, ledger runs and sweep campaigns
+alike.  The other commands build design kits (``characterize``,
+``library``), export and lint decks, serve, and inspect runs, sweeps
+and telemetry reports.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional
 
 
 from repro.constants import GHz, to_GHz, um
@@ -24,63 +23,6 @@ from repro.constants import GHz, to_GHz, um
 #: pre-extracted in :func:`main` because argparse cannot accept unknown
 #: option names per-scenario.
 _PARAM_OVERRIDE = re.compile(r"^--([A-Z][A-Z0-9_]*)=(.*)$", re.DOTALL)
-
-
-class Alias(NamedTuple):
-    """A legacy experiment command: one catalog scenario plus its flags.
-
-    Each flag is ``(option, PARAM, scale, help)``: the option's value
-    times *scale* becomes the scenario override (a None *scale* passes
-    the string through).  An option left unset passes nothing, so the
-    scenario's declared default applies.
-    """
-
-    command: str
-    scenario: str
-    help: str
-    flags: Tuple[Tuple[str, str, Optional[float], Optional[str]], ...] = ()
-    #: Whether the command takes ``--telemetry FILE``.
-    telemetry: bool = False
-
-    def overrides(self, args: argparse.Namespace) -> dict:
-        """Scenario overrides for the flags set on the parsed *args*."""
-        overrides = {}
-        for option, param, scale, _help in self.flags:
-            value = getattr(args, option[2:].replace("-", "_"))
-            if value is not None:
-                # 15 significant digits undo the float noise of the unit
-                # scale (800 um -> 8e-4, not 7.999999999999999e-4), so
-                # the run key matches the value spelled --PARAM=8e-4.
-                overrides[param] = (value if scale is None
-                                    else float(f"{value * scale:.15g}"))
-        return overrides
-
-
-ALIASES: Tuple[Alias, ...] = (
-    Alias("fig1", "fig1-delay", "Figs. 1-3 delay comparison",
-          (("--drive-resistance", "DRIVE_RESISTANCE", 1.0, None),),
-          telemetry=True),
-    Alias("fig5", "fig5-foundations", "Fig. 5 loop L11/L12 + Foundations",
-          (("--traces", "N_TRACES", 1.0, None),)),
-    Alias("table1", "table1-cascading", "Table I cascading comparison"),
-    Alias("scaling", "length-scaling", "super-linear length scaling"),
-    Alias("skew", "htree-skew", "H-tree skew RC vs RLC",
-          (("--library", "LIBRARY", None,
-            "characterization library to pull tables from"),),
-          telemetry=True),
-    Alias("variation", "process-variation", "process variation study"),
-    Alias("accuracy", "table-accuracy", "table accuracy and speedup",
-          telemetry=True),
-    Alias("crosstalk", "bus-crosstalk", "bus aggressor/victim noise", (
-        ("--traces", "N_TRACES", 1.0, None),
-        ("--width", "WIDTH", 1e-6, "[um]"),
-        ("--spacing", "SPACING", 1e-6, "[um]"),
-        ("--length", "LENGTH", 1e-6, "[um]"),
-        ("--thickness", "THICKNESS", 1e-6, "[um]"),
-        ("--height-below", "HEIGHT_BELOW", 1e-6, "[um]"),
-        ("--frequency", "FREQUENCY", 1e9, "[GHz]"),
-    )),
-)
 
 
 def _print_simulation_health(sections) -> None:
@@ -100,17 +42,6 @@ def _print_simulation_health(sections) -> None:
                 parts.append("dt UNDERSAMPLED")
         if parts:
             print(f"  [{label}] " + ", ".join(parts))
-
-
-def _print_outcome(name: str, outcome) -> None:
-    """The scenario's ``render`` plus the simulation-health one-liners."""
-    from repro.scenarios import get_scenario
-
-    render = get_scenario(name).render
-    if render is not None:
-        print(render(outcome.metrics))
-    if outcome.report is not None and outcome.report.simulation:
-        _print_simulation_health(outcome.report.simulation)
 
 
 def _scenario_guard(func):
@@ -135,32 +66,10 @@ def _scenario_guard(func):
     return wrapper
 
 
-def _run_scenario_alias(args: argparse.Namespace) -> int:
-    """Run the legacy command ``args.alias`` through the scenario runner.
-
-    Aliases always execute (``force=True``) and always record a
-    provenance-stamped ledger run; skip-if-done is a ``repro run``
-    behavior.
-    """
-    from repro.scenarios import run_scenario
-
-    alias = args.alias
-    telemetry_path = getattr(args, "telemetry", None)
-    outcome = run_scenario(
-        alias.scenario, alias.overrides(args),
-        force=True,
-        command=f"repro {alias.command}",
-        telemetry_path=telemetry_path,
-    )
-    _print_outcome(alias.scenario, outcome)
-    if telemetry_path:
-        print(f"telemetry report -> {telemetry_path}")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.scenarios import (RunLedger, all_scenarios,
-                                 default_ledger_root, run_scenario)
+                                 default_ledger_root, get_scenario,
+                                 run_scenario)
 
     if args.list_scenarios or args.scenario is None:
         group = None
@@ -202,7 +111,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if outcome.skipped:
         print(f"run {args.scenario}: ledger hit {outcome.run_id} "
               "(identical request already completed; --force to rerun)")
-    _print_outcome(args.scenario, outcome)
+    render = get_scenario(args.scenario).render
+    if render is not None:
+        print(render(outcome.metrics))
+    if outcome.report is not None and outcome.report.simulation:
+        _print_simulation_health(outcome.report.simulation)
     if not outcome.skipped:
         print(f"run recorded: {outcome.run_id} -> {ledger.root}")
     if args.telemetry and not outcome.skipped:
@@ -263,29 +176,6 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
         for record in ledger.load_logs(entry.run_id):
             print(_json.dumps(record, sort_keys=True, default=str))
     return 0
-
-
-def _cmd_runs_diff(args: argparse.Namespace) -> int:
-    from repro.scenarios import diff_runs
-
-    ledger = _runs_ledger(args)
-    baseline = ledger.resolve(args.baseline)
-    candidate = ledger.resolve(args.candidate)
-    diff = diff_runs(
-        ledger.load_run(baseline.run_id),
-        ledger.load_run(candidate.run_id),
-        threshold=args.threshold, mad_k=args.mad_k,
-    )
-    print(f"baseline  {baseline.run_id} ({baseline.scenario} "
-          f"@ {baseline.git_sha[:12]})")
-    print(f"candidate {candidate.run_id} ({candidate.scenario} "
-          f"@ {candidate.git_sha[:12]})")
-    print(diff.render(), end="")
-    if diff.nothing_compared:
-        # A "pass" with zero common metrics is a silent lie -- make it
-        # a distinct, scriptable outcome.
-        return 3
-    return 0 if diff.passed else 1
 
 
 def _cmd_runs_gc(args: argparse.Namespace) -> int:
@@ -440,39 +330,78 @@ def _cmd_sweep_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_diff(args: argparse.Namespace) -> int:
-    from repro.scenarios import CampaignReport, diff_campaigns
+def _diff_operands(args: argparse.Namespace):
+    """``(records, labels, synthetic)`` for the operands of ``repro diff``.
 
+    Runs and campaigns are projected onto the bench-record shape;
+    *synthetic* names the metrics that projection adds to every record.
+    """
+    if args.kind == "bench":
+        from repro.quality import load_bench
+
+        return [load_bench(path) for path in args.operands], args.operands, ()
     ledger = _runs_ledger(args)
-    base_row = ledger.resolve_campaign(args.baseline)
-    cand_row = ledger.resolve_campaign(args.candidate)
-    baseline = CampaignReport.from_dict(
-        ledger.load_campaign(str(base_row["campaign_id"])))
-    candidate = CampaignReport.from_dict(
-        ledger.load_campaign(str(cand_row["campaign_id"])))
-    diff = diff_campaigns(baseline, candidate,
-                          threshold=args.threshold, mad_k=args.mad_k)
-    print(f"baseline  campaign {baseline.campaign_id} "
-          f"({baseline.scenario}, {baseline.total} point(s))")
-    print(f"candidate campaign {candidate.campaign_id} "
-          f"({candidate.scenario}, {candidate.total} point(s))")
+    if args.kind == "run":
+        from repro.scenarios import RUN_VIEW_SYNTHETIC, run_view
+
+        entries = [ledger.resolve(selector) for selector in args.operands]
+        return ([run_view(ledger.load_run(e.run_id)) for e in entries],
+                [f"{e.run_id} ({e.scenario} @ {e.git_sha[:12]})"
+                 for e in entries],
+                RUN_VIEW_SYNTHETIC)
+    from repro.scenarios import (CAMPAIGN_VIEW_SYNTHETIC, CampaignReport,
+                                 campaign_view)
+
+    reports = [
+        CampaignReport.from_dict(ledger.load_campaign(
+            str(ledger.resolve_campaign(selector)["campaign_id"])))
+        for selector in args.operands
+    ]
+    return ([campaign_view(r) for r in reports],
+            [f"campaign {r.campaign_id} ({r.scenario}, {r.total} point(s))"
+             for r in reports],
+            CAMPAIGN_VIEW_SYNTHETIC)
+
+
+def _cmd_diff(args: argparse.Namespace) -> int:
+    """Gate the last operand against the ones before it.
+
+    Exits 0 on a pass, 1 on a regression, 2 on a bad request (fewer
+    than two operands, an unreadable record, an unknown selector) and
+    3 when the two sides share no metric.
+    """
+    from repro.errors import QualityError, ScenarioError
+    from repro.quality import diff_benches
+
+    if len(args.operands) < 2:
+        print(f"error: diff {args.kind} needs at least two operands "
+              "(baseline... candidate)", file=sys.stderr)
+        return 2
+    try:
+        records, labels, synthetic = _diff_operands(args)
+        diff = diff_benches(records[:-1], records[-1],
+                            threshold=args.threshold, mad_k=args.mad_k,
+                            synthetic=synthetic)
+    except (QualityError, ScenarioError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for label in labels[:-1]:
+        print(f"baseline  {label}")
+    print(f"candidate {labels[-1]}")
     print(diff.render(), end="")
     if diff.nothing_compared:
+        # A "pass" with zero common metrics is a silent lie -- make it
+        # a distinct, scriptable outcome.
         return 3
     return 0 if diff.passed else 1
 
 
 def _cmd_spice(args: argparse.Namespace) -> int:
     from repro.circuit.spice_export import write_spice
-    from repro.clocktree.configs import CoplanarWaveguideConfig
     from repro.clocktree.extractor import ClocktreeRLCExtractor
     from repro.clocktree.htree import HTree
 
-    config = CoplanarWaveguideConfig(
-        signal_width=um(args.signal_width), ground_width=um(args.ground_width),
-        spacing=um(args.spacing), thickness=um(args.thickness),
-        height_below=um(args.height_below),
-    )
+    config = _geometry_config(args)
     extractor = ClocktreeRLCExtractor(config, frequency=GHz(args.frequency))
     htree = HTree.generate(levels=args.levels,
                            root_length=um(args.root_length), config=config)
@@ -493,7 +422,7 @@ def _cmd_spice(args: argparse.Namespace) -> int:
 def _cmd_characterize(args: argparse.Namespace) -> int:
     from repro.core.extraction import TableBasedExtractor
 
-    config = _library_config(args)
+    config = _geometry_config(args)
     widths = [um(w) for w in args.widths]
     lengths = [um(l) for l in args.lengths]
     extractor = TableBasedExtractor.characterize(
@@ -505,7 +434,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _library_config(args: argparse.Namespace):
+def _geometry_config(args: argparse.Namespace):
     from repro.clocktree.configs import CoplanarWaveguideConfig
 
     return CoplanarWaveguideConfig(
@@ -539,7 +468,7 @@ def _cmd_library_build(args: argparse.Namespace) -> int:
                 samples=args.audit_samples, error_budget=args.audit_budget,
             )
         jobs = standard_clocktree_jobs(
-            _library_config(args),
+            _geometry_config(args),
             frequency=GHz(args.frequency),
             widths=[um(w) for w in args.widths],
             lengths=[um(l) for l in args.lengths],
@@ -625,24 +554,6 @@ def _cmd_library_audit(args: argparse.Namespace) -> int:
         session.add_meta(library_root=str(args.root),
                          problems=len(problems))
     return 1 if problems else 0
-
-
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    from repro.quality import diff_benches, load_bench
-
-    records = [load_bench(path) for path in args.files]
-    if len(records) < 2:
-        print("bench diff needs at least two records "
-              "(baseline... candidate)")
-        return 2
-    diff = diff_benches(
-        records[:-1], records[-1],
-        threshold=args.threshold, mad_k=args.mad_k,
-    )
-    print(diff.render(), end="")
-    if diff.nothing_compared:
-        return 3
-    return 0 if diff.passed else 1
 
 
 def _cmd_library_list(args: argparse.Namespace) -> int:
@@ -765,7 +676,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     service = ExtractionService(
         args.library,
-        config=_library_config(args),
+        config=_geometry_config(args),
         frequency=GHz(args.frequency) if args.frequency else None,
         cache_size=args.cache_size,
         compute_width=args.compute_width,
@@ -880,6 +791,32 @@ def _add_profile_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_geometry_args(parser: argparse.ArgumentParser,
+                       frequency: Optional[float]) -> None:
+    """The coplanar-waveguide geometry flags [um] and ``--frequency``.
+
+    *frequency* is the ``--frequency`` default [GHz]; serve passes None,
+    meaning the kit's characterized frequency.
+    """
+    parser.add_argument("--signal-width", type=float, default=10.0,
+                        help="nominal signal width [um]")
+    parser.add_argument("--ground-width", type=float, default=5.0)
+    parser.add_argument("--spacing", type=float, default=1.0)
+    parser.add_argument("--thickness", type=float, default=2.0)
+    parser.add_argument("--height-below", type=float, default=2.0)
+    parser.add_argument(
+        "--frequency", type=float, default=frequency,
+        help="[GHz]" if frequency is not None else
+        "extraction frequency [GHz] (default: the kit's characterized "
+        "frequency)")
+
+
+def _ledger_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ledger", default=None, metavar="DIR",
+                        help="run-ledger directory (default: $REPRO_LEDGER "
+                             "or .repro/runs)")
+
+
 def _add_library_parser(sub) -> None:
     p_lib = sub.add_parser(
         "library",
@@ -892,13 +829,7 @@ def _add_library_parser(sub) -> None:
     p_build.add_argument("--root", required=True, help="library directory")
     p_build.add_argument("--layer", default="", help="layer tag, e.g. M5")
     p_build.add_argument("--name-prefix", default="loop")
-    p_build.add_argument("--signal-width", type=float, default=10.0,
-                         help="nominal signal width [um]")
-    p_build.add_argument("--ground-width", type=float, default=5.0)
-    p_build.add_argument("--spacing", type=float, default=1.0)
-    p_build.add_argument("--thickness", type=float, default=2.0)
-    p_build.add_argument("--height-below", type=float, default=2.0)
-    p_build.add_argument("--frequency", type=float, default=3.2, help="[GHz]")
+    _add_geometry_args(p_build, frequency=3.2)
     p_build.add_argument("--widths", type=float, nargs="+",
                          default=[4.0, 8.0, 12.0, 16.0], help="[um]")
     p_build.add_argument("--lengths", type=float, nargs="+",
@@ -968,18 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_alias = _scenario_guard(_run_scenario_alias)
-    for alias in ALIASES:
-        p_alias = sub.add_parser(alias.command, help=alias.help)
-        for option, _param, scale, help_text in alias.flags:
-            p_alias.add_argument(option, default=None,
-                                 type=str if scale is None else float,
-                                 help=help_text)
-        if alias.telemetry:
-            _add_telemetry_arg(p_alias)
-        p_alias.set_defaults(func=run_alias, alias=alias,
-                             manages_telemetry=True)
-
     p_run = sub.add_parser(
         "run",
         help="run a registered scenario through the run ledger "
@@ -992,22 +911,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--force", action="store_true",
                        help="execute even when an identical completed "
                             "run is already in the ledger")
-    p_run.add_argument("--ledger", default=None, metavar="DIR",
-                       help="run-ledger directory (default: $REPRO_LEDGER "
-                            "or .repro/runs)")
+    _ledger_arg(p_run)
     p_run.add_argument("--json", action="store_true",
                        help="emit run id/key/params/metrics as JSON")
     _add_telemetry_arg(p_run)
     p_run.set_defaults(func=_scenario_guard(_cmd_run), manages_telemetry=True)
 
     p_runs = sub.add_parser(
-        "runs", help="inspect the run ledger: list / show / diff / gc")
+        "runs", help="inspect the run ledger: list / show / gc")
     runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
-
-    def _ledger_arg(p):
-        p.add_argument("--ledger", default=None, metavar="DIR",
-                       help="run-ledger directory (default: $REPRO_LEDGER "
-                            "or .repro/runs)")
 
     p_rlist = runs_sub.add_parser("list", help="list recorded runs")
     _ledger_arg(p_rlist)
@@ -1039,21 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the full run record as JSON")
     p_rshow.set_defaults(func=_scenario_guard(_cmd_runs_show))
 
-    p_rdiff = runs_sub.add_parser(
-        "diff",
-        help="compare two runs' metrics; exits 1 when a "
-             "direction-aware metric regressed")
-    _ledger_arg(p_rdiff)
-    p_rdiff.add_argument("baseline",
-                         help="run id prefix, <scenario>, or "
-                              "<scenario>@<sha-prefix>")
-    p_rdiff.add_argument("candidate", help="same selector forms")
-    p_rdiff.add_argument("--threshold", type=float, default=0.25,
-                         help="relative regression gate per metric")
-    p_rdiff.add_argument("--mad-k", type=float, default=3.0,
-                         help="MAD multiplier widening the gate")
-    p_rdiff.set_defaults(func=_scenario_guard(_cmd_runs_diff))
-
     p_rgc = runs_sub.add_parser(
         "gc", help="prune old runs by age and/or count")
     _ledger_arg(p_rgc)
@@ -1066,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep",
         help="parameter-sweep campaigns over a scenario: "
-             "run / status / report / diff")
+             "run / status / report")
     sweep_sub = p_sweep.add_subparsers(dest="sweep_command", required=True)
 
     p_srun = sweep_sub.add_parser(
@@ -1096,9 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "own worker")
     p_srun.add_argument("--force", action="store_true",
                         help="re-execute points the ledger already has")
-    p_srun.add_argument("--ledger", default=None, metavar="DIR",
-                        help="run-ledger directory (default: "
-                             "$REPRO_LEDGER or .repro/runs)")
+    _ledger_arg(p_srun)
     p_srun.add_argument("--json", action="store_true",
                         help="emit the campaign summary as JSON")
     p_srun.add_argument("--quiet", action="store_true",
@@ -1108,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sstat = sweep_sub.add_parser(
         "status", help="list recorded sweep campaigns")
-    p_sstat.add_argument("--ledger", default=None, metavar="DIR")
+    _ledger_arg(p_sstat)
     p_sstat.add_argument("--scenario", default=None,
                          help="only campaigns over this scenario")
     p_sstat.add_argument("--json", action="store_true",
@@ -1122,48 +1017,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_srep.add_argument("campaign",
                         help="campaign id prefix, <scenario> (latest), "
                              "or sweep-id prefix")
-    p_srep.add_argument("--ledger", default=None, metavar="DIR")
+    _ledger_arg(p_srep)
     p_srep.add_argument("--json", action="store_true",
                         help="emit the full campaign record as JSON")
     p_srep.set_defaults(func=_scenario_guard(_cmd_sweep_report))
 
-    p_sdiff = sweep_sub.add_parser(
+    p_diff = sub.add_parser(
         "diff",
-        help="compare two campaigns point-by-point; exits 1 on a "
-             "direction-aware regression, 3 when nothing compared")
-    p_sdiff.add_argument("baseline", help="campaign selector")
-    p_sdiff.add_argument("candidate", help="campaign selector")
-    p_sdiff.add_argument("--ledger", default=None, metavar="DIR")
-    p_sdiff.add_argument("--threshold", type=float, default=0.25,
-                         help="relative regression gate per metric")
-    p_sdiff.add_argument("--mad-k", type=float, default=3.0,
-                         help="MAD multiplier widening the gate")
-    p_sdiff.set_defaults(func=_scenario_guard(_cmd_sweep_diff))
+        help="gate a candidate against one or more baselines; exits 1 on "
+             "a regression, 2 on a bad request, 3 when nothing compared")
+    p_diff.add_argument(
+        "kind", choices=["bench", "run", "sweep"],
+        help="bench: BENCH_*.json or telemetry report files; run: run "
+             "selectors (id prefix, <scenario>, <scenario>@<sha-prefix>); "
+             "sweep: campaign selectors (id prefix, <scenario>, sweep-id "
+             "prefix)")
+    p_diff.add_argument("operands", nargs="+", metavar="OPERAND",
+                        help="one or more baselines followed by the "
+                             "candidate (last)")
+    p_diff.add_argument("--threshold", type=float, default=0.25,
+                        help="relative regression gate per metric "
+                             "(default 0.25)")
+    p_diff.add_argument("--mad-k", type=float, default=3.0,
+                        help="MAD multiplier widening the gate on noisy "
+                             "baselines")
+    _ledger_arg(p_diff)
+    p_diff.set_defaults(func=_cmd_diff)
 
     p_spice = sub.add_parser("spice", help="export an extracted clocktree deck")
     p_spice.add_argument("--output", required=True, help="output .sp file")
     p_spice.add_argument("--levels", type=int, default=2)
     p_spice.add_argument("--root-length", type=float, default=4000.0,
                          help="[um]")
-    p_spice.add_argument("--signal-width", type=float, default=10.0)
-    p_spice.add_argument("--ground-width", type=float, default=5.0)
-    p_spice.add_argument("--spacing", type=float, default=1.0)
-    p_spice.add_argument("--thickness", type=float, default=2.0)
-    p_spice.add_argument("--height-below", type=float, default=2.0)
-    p_spice.add_argument("--frequency", type=float, default=3.2, help="[GHz]")
+    _add_geometry_args(p_spice, frequency=3.2)
     p_spice.add_argument("--rc-only", action="store_true",
                          help="omit the inductances")
     p_spice.set_defaults(func=_cmd_spice)
 
     p_char = sub.add_parser("characterize", help="build and save loop tables")
     p_char.add_argument("--output", required=True, help="output directory")
-    p_char.add_argument("--signal-width", type=float, default=10.0,
-                        help="nominal signal width [um]")
-    p_char.add_argument("--ground-width", type=float, default=5.0)
-    p_char.add_argument("--spacing", type=float, default=1.0)
-    p_char.add_argument("--thickness", type=float, default=2.0)
-    p_char.add_argument("--height-below", type=float, default=2.0)
-    p_char.add_argument("--frequency", type=float, default=3.2, help="[GHz]")
+    _add_geometry_args(p_char, frequency=3.2)
     p_char.add_argument("--widths", type=float, nargs="+",
                         default=[4.0, 8.0, 12.0, 16.0], help="[um]")
     p_char.add_argument("--lengths", type=float, nargs="+",
@@ -1173,25 +1066,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_library_parser(sub)
 
-    p_bench = sub.add_parser(
-        "bench", help="benchmark records: regression diff")
+    p_bench = sub.add_parser("bench", help="load-test a serve daemon")
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_bdiff = bench_sub.add_parser(
-        "diff",
-        help="compare a candidate bench record against baseline history; "
-             "exits nonzero on regressions")
-    p_bdiff.add_argument(
-        "files", nargs="+", metavar="FILE",
-        help="bench/telemetry JSON records: one or more baselines "
-             "followed by the candidate (last)")
-    p_bdiff.add_argument("--threshold", type=float, default=0.25,
-                         help="relative regression gate per metric "
-                              "(default 0.25)")
-    p_bdiff.add_argument("--mad-k", type=float, default=3.0,
-                         help="MAD multiplier widening the gate on noisy "
-                              "baselines")
-    p_bdiff.set_defaults(func=_cmd_bench_diff)
-
     p_bserve = bench_sub.add_parser(
         "serve",
         help="load-test an extraction daemon: N threads x M requests, "
@@ -1218,7 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "mode; raised to --threads if lower)")
     p_bserve.add_argument("--record", default=None, metavar="FILE",
                           help="write/merge a BENCH_*.json record "
-                               "gated by `repro bench diff`")
+                               "gated by `repro diff bench`")
     _add_telemetry_arg(p_bserve)
     _add_profile_args(p_bserve)
     p_bserve.set_defaults(func=_cmd_bench_serve)
@@ -1254,18 +1130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--drain-timeout", type=float, default=10.0,
                          help="seconds to wait for in-flight requests "
                               "on SIGTERM")
-    p_serve.add_argument("--frequency", type=float, default=None,
-                         help="extraction frequency [GHz] (default: the "
-                              "kit's characterized frequency)")
     p_serve.add_argument("--disk-memo", default=None, metavar="FILE",
                          help="persistent Lp memo shard warmed at startup")
-    p_serve.add_argument("--signal-width", type=float, default=10.0,
-                         help="default geometry [um]; must match the "
-                              "kit's characterized family for table hits")
-    p_serve.add_argument("--ground-width", type=float, default=5.0)
-    p_serve.add_argument("--spacing", type=float, default=1.0)
-    p_serve.add_argument("--thickness", type=float, default=2.0)
-    p_serve.add_argument("--height-below", type=float, default=2.0)
+    _add_geometry_args(p_serve, frequency=None)
     p_serve.add_argument("--log-file", default=None, metavar="FILE",
                          help="also append the structured JSON logs "
                               "(access log included) to FILE")

@@ -15,7 +15,7 @@ performance.  Three pieces:
   configurable budget) embedded into library manifests at build time
   and re-checkable via ``repro library audit``.
 * :mod:`~repro.quality.regress` -- the bench regression watchdog:
-  ``repro bench diff`` compares bench/telemetry records over a
+  ``repro diff bench`` compares bench/telemetry records over a
   median/MAD gate, so both speed and accuracy trajectories fail CI
   instead of drifting silently.
 

@@ -21,15 +21,16 @@ module supplies both halves:
   higher-is-better, everything else is informational (tracked, never
   failing).
 
-``repro bench diff old.json [older.json ...] new.json`` is the CLI
+``repro diff bench old.json [older.json ...] new.json`` is the CLI
 front end; it exits nonzero on any regression, which is what the CI
-``quality-gate`` job keys on.
+``quality-gate`` job keys on.  ``repro diff run`` and ``repro diff
+sweep`` project ledger runs and sweep campaigns onto the same record
+shape and go through the same gate.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import statistics
 import subprocess
@@ -97,9 +98,8 @@ def record_bench(path: Union[str, Path], update: dict) -> dict:
     Every write refreshes the record's ``meta`` block (schema version,
     git sha, ISO timestamp, host, python version) via
     :func:`run_metadata`, so committed benchmark numbers are comparable
-    artifacts for ``repro bench diff`` rather than loose floats.  Shared
-    by the pytest benchmarks (``benchmarks/conftest.py``) and the
-    ``repro bench serve`` load driver.
+    artifacts for ``repro diff bench`` rather than loose floats.  Shared
+    by the pytest benchmarks and the ``repro bench serve`` load driver.
     """
     path = Path(path)
     data: dict = {}
@@ -111,42 +111,7 @@ def record_bench(path: Union[str, Path], update: dict) -> dict:
     data.update(update)
     data["meta"] = run_metadata()
     path.write_text(json.dumps(data, indent=1) + "\n")
-    _ledger_bench(path, data)
     return data
-
-
-def _ledger_bench(path: Path, data: dict) -> None:
-    """Mirror a bench record into the run ledger when one is active.
-
-    Gated on ``$REPRO_LEDGER`` so plain unit-test runs stay side-effect
-    free; CI exports it, and every benchmark then lands as a
-    ``bench:<stem>`` scenario run that ``repro runs diff`` can compare
-    across shas.  Best-effort: a broken ledger never fails a benchmark.
-    """
-    root = os.environ.get("REPRO_LEDGER", "").strip()
-    if not root:
-        return
-    try:
-        from repro.library.store import cache_key
-        from repro.scenarios.ledger import RunLedger
-
-        scenario = f"bench:{path.stem}"
-        metrics = {k: v for k, v in data.items() if k != "meta"}
-        run_key = cache_key({
-            "kind": "bench-record",
-            "scenario": scenario,
-            "git_sha": data.get("meta", {}).get("git_sha", "unknown"),
-            "metric_names": sorted(metrics),
-        })
-        RunLedger(root).record(
-            scenario=scenario,
-            run_key=run_key,
-            params={"record": path.name},
-            metrics=metrics,
-            meta=data.get("meta"),
-        )
-    except Exception:  # noqa: BLE001 -- observability must not gate
-        pass
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +126,7 @@ def flatten_metrics(data: dict, prefix: str = "") -> Dict[str, float]:
     ``metrics`` keys) contribute their wall ``duration``, counter
     totals (``counter.loop_solve``) and per-histogram mean/p95 scalars
     (``histogram.serve_latency_seconds_p95``) -- the latency
-    distributions gate through ``repro bench diff`` exactly like the
+    distributions gate through ``repro diff bench`` exactly like the
     counters, with direction inferred from the ``seconds`` leaf.
     """
     if not prefix and "command" in data and "metrics" in data:
@@ -265,7 +230,7 @@ class BenchDiff:
     candidate_meta: Dict[str, object] = field(default_factory=dict)
     baseline_meta: List[dict] = field(default_factory=list)
     #: Metric names the *caller* injected into both sides (e.g. the run
-    #: wall ``duration`` that :func:`repro.scenarios.ledger.diff_runs`
+    #: wall ``duration`` that :func:`repro.scenarios.ledger.run_view`
     #: adds to every view).  They are always shared, so they must not
     #: count as evidence that the two records were actually comparable.
     synthetic: List[str] = field(default_factory=list)
@@ -294,7 +259,7 @@ class BenchDiff:
 
     def render(self) -> str:
         lines = [
-            f"bench diff: candidate vs {self.baseline_count} baseline(s), "
+            f"diff: candidate vs {self.baseline_count} baseline(s), "
             f"threshold {self.threshold:.0%} + {self.mad_k:g}*MAD"
         ]
         meta = self.candidate_meta
@@ -347,6 +312,7 @@ def diff_benches(
     candidate: dict,
     threshold: float = 0.25,
     mad_k: float = 3.0,
+    synthetic: Sequence[str] = (),
 ) -> BenchDiff:
     """Compare *candidate* against the *baselines* history.
 
@@ -356,9 +322,11 @@ def diff_benches(
     by more than the gate is a regression.  The default 25 % threshold
     deliberately under-cuts the acceptance criterion's "flag a >= 30 %
     slowdown" so boundary cases are flagged without float hair-splitting.
+    *synthetic* names metrics the caller added to every record (see
+    :attr:`BenchDiff.synthetic`).
     """
     if not baselines:
-        raise QualityError("bench diff needs at least one baseline record")
+        raise QualityError("diff needs at least one baseline record")
     if threshold <= 0.0 or mad_k < 0.0:
         raise QualityError("threshold must be > 0 and mad_k >= 0")
     flat_baselines = [flatten_metrics(b) for b in baselines]
@@ -369,6 +337,7 @@ def diff_benches(
         mad_k=float(mad_k),
         candidate_meta=dict(candidate.get("meta", {}) or {}),
         baseline_meta=[dict(b.get("meta", {}) or {}) for b in baselines],
+        synthetic=list(synthetic),
     )
     for name in sorted(flat_candidate):
         history = [fb[name] for fb in flat_baselines if name in fb]

@@ -8,9 +8,9 @@ records provenance, telemetry and metrics in an append-only
 :class:`~repro.scenarios.ledger.RunLedger`.  Identical requests (same
 scenario + code version + canonical params + design-kit sha) are
 **skipped**: the ledger replays the recorded metrics with zero field
-solves.  ``repro runs list|show|diff|gc`` inspects the ledger; ``diff``
-reuses the direction-aware regression gate of
-:mod:`repro.quality.regress`.
+solves.  ``repro runs list|show|gc`` inspects the ledger; ``repro diff
+run`` gates runs, and ``repro diff sweep`` campaigns, with the
+direction-aware regression gate of :mod:`repro.quality.regress`.
 
 Parameter sweeps build on the same machinery
 (:mod:`repro.scenarios.sweep`): a :class:`SweepSpec` declares grid /
@@ -18,8 +18,7 @@ explicit / Monte-Carlo axes over one scenario, :class:`SweepRunner`
 executes every point as an ordinary ledger run across a process pool,
 and the finished campaign persists as a
 :class:`~repro.scenarios.campaign.CampaignReport` -- with live
-``sweep_*`` gauges while it runs (``repro sweep run|status|report|
-diff``).
+``sweep_*`` gauges while it runs (``repro sweep run|status|report``).
 
 Quick use::
 
@@ -38,8 +37,9 @@ Quick use::
 
 from repro.scenarios.campaign import (
     CAMPAIGN_SCHEMA_VERSION,
+    CAMPAIGN_VIEW_SYNTHETIC,
     CampaignReport,
-    diff_campaigns,
+    campaign_view,
     render_campaign,
     render_campaign_entries,
 )
@@ -47,10 +47,11 @@ from repro.scenarios.ledger import (
     LEDGER_SCHEMA_VERSION,
     LedgerEntry,
     LedgerLock,
+    RUN_VIEW_SYNTHETIC,
     RunLedger,
-    diff_runs,
     render_entries,
     render_run,
+    run_view,
 )
 from repro.scenarios.registry import (
     all_scenarios,
@@ -78,11 +79,13 @@ from repro.scenarios.sweep import (
 
 __all__ = [
     "CAMPAIGN_SCHEMA_VERSION",
+    "CAMPAIGN_VIEW_SYNTHETIC",
     "CampaignReport",
     "LEDGER_SCHEMA_VERSION",
     "LedgerEntry",
     "LedgerLock",
     "MonteCarloAxis",
+    "RUN_VIEW_SYNTHETIC",
     "RunLedger",
     "RunOutcome",
     "Scenario",
@@ -90,12 +93,11 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "all_scenarios",
+    "campaign_view",
     "canonical_params",
     "coerce_param",
     "compute_run_key",
     "default_ledger_root",
-    "diff_campaigns",
-    "diff_runs",
     "discover",
     "get_scenario",
     "kit_manifest_sha",
@@ -106,6 +108,7 @@ __all__ = [
     "render_run",
     "run_scenario",
     "run_sweep",
+    "run_view",
     "scenario_names",
     "unregister",
 ]

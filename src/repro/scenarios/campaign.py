@@ -10,8 +10,8 @@ executes one ledger run per grid point; this module defines the
 * :func:`render_campaign` -- the ``repro sweep report`` view: outcome
   roster, per-axis marginal summaries, best/worst points per directed
   metric, and the failure roster.
-* :func:`diff_campaigns` -- two campaigns compared point-by-point
-  through the direction-aware bench gate (``repro sweep diff``).
+* :func:`campaign_view` -- one campaign flattened point-by-point onto
+  the bench-record shape, which ``repro diff sweep`` gates.
 
 Campaign records persist in the run ledger (``campaigns/<id>/``) next
 to the per-point runs they reference, so a campaign is replayable and
@@ -30,7 +30,8 @@ __all__ = [
     "CampaignReport",
     "render_campaign",
     "render_campaign_entries",
-    "diff_campaigns",
+    "CAMPAIGN_VIEW_SYNTHETIC",
+    "campaign_view",
 ]
 
 CAMPAIGN_SCHEMA_VERSION = 1
@@ -382,9 +383,14 @@ def render_campaign_entries(rows: List[dict]) -> str:
 
 
 # ----------------------------------------------------------------------
-# campaign-vs-campaign diff (the `repro sweep diff` gate)
+# campaign-vs-campaign diff (the `repro diff sweep` gate)
 # ----------------------------------------------------------------------
-def _campaign_view(report: CampaignReport) -> dict:
+#: The campaign-level metrics :func:`campaign_view` adds to every
+#: campaign: sharing only these means the grids were disjoint.
+CAMPAIGN_VIEW_SYNTHETIC = ("duration", "campaign.points_per_second")
+
+
+def campaign_view(report: CampaignReport) -> dict:
     """Flatten one campaign to a bench-record-shaped metric dict.
 
     Per completed point, metrics flatten under the point's varying-
@@ -406,22 +412,3 @@ def _campaign_view(report: CampaignReport) -> dict:
         if metrics:
             flat[label] = dict(metrics)
     return flat
-
-
-def diff_campaigns(baseline: CampaignReport, candidate: CampaignReport,
-                   threshold: float = 0.25, mad_k: float = 3.0):
-    """Compare two campaigns through the direction-aware bench gate.
-
-    Returns a :class:`repro.quality.regress.BenchDiff`; ``.passed`` is
-    False when any directed per-point metric regressed past the gate,
-    and ``.nothing_compared`` is True when the campaigns share no real
-    point metrics (disjoint grids) -- the synthetic wall-clock entries
-    alone do not count as a comparison.
-    """
-    from repro.quality.regress import diff_benches
-
-    diff = diff_benches([_campaign_view(baseline)],
-                        _campaign_view(candidate),
-                        threshold=threshold, mad_k=mad_k)
-    diff.synthetic = ["duration", "campaign.points_per_second"]
-    return diff

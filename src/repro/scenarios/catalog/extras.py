@@ -1,12 +1,12 @@
 """Scenarios promoted from the examples: workloads beyond the figures.
 
 ``bus-crosstalk`` is the aggressor/victim noise study the
-``examples/bus_crosstalk.py`` script (and ``repro crosstalk``) runs;
-``variation-skew`` is the paper's ref-[4] setup -- Monte-Carlo
-statistical RC with nominal L propagated to a clock-skew distribution
--- previously reachable only from ``examples/process_variation_study``.
-Registering them makes both reproducible, provenance-stamped ledger
-runs instead of stdout-only scripts.
+``examples/bus_crosstalk.py`` script runs; ``variation-skew`` is the
+paper's ref-[4] setup -- Monte-Carlo statistical RC with nominal L
+propagated to a clock-skew distribution -- previously reachable only
+from ``examples/process_variation_study``.  Registering them makes both
+reproducible, provenance-stamped ledger runs instead of stdout-only
+scripts.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ One scenario per ``repro.experiments`` module, with the experiment's
 knobs exposed as typed UPPERCASE parameters (lengths/times in SI units,
 frequencies in Hz) and the headline numbers returned as the metrics
 dict the run ledger stores and diffs.  The ``render`` functions are the
-single source of the human console output -- the legacy ``repro fig1``
-/ ``fig5`` / ``table1`` / ``scaling`` / ``skew`` / ``variation`` /
-``accuracy`` aliases print exactly these.
+single source of the human console output: ``repro run <scenario>``
+prints exactly these.
 """
 
 from __future__ import annotations

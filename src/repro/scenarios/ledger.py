@@ -1,7 +1,7 @@
 """The run ledger: an append-only, content-addressed store of runs.
 
-Every scenario execution (and, via ``record_bench``, every benchmark
-record) lands here as one **run directory** plus one row in the index:
+Every scenario execution lands here as one **run directory** plus one
+row in the index:
 
 ::
 
@@ -22,10 +22,11 @@ the newest *completed* run of a key; failed runs never satisfy it.
 
 Everything is written with :func:`repro.ioutil.atomic_write_text`
 (mirroring ``library/store.py``), so a killed run never leaves a
-half-readable index.  ``repro runs list|show|diff|gc`` is the CLI front
-end; :func:`diff_runs` reuses the direction-aware median/MAD gate of
-:mod:`repro.quality.regress` so "did this sha make skew worse?" has the
-same semantics as the bench watchdog.
+half-readable index.  ``repro runs list|show|gc`` is the CLI front
+end; ``repro diff run`` projects runs with :func:`run_view` onto the
+bench-record shape and gates them with the direction-aware median/MAD
+gate of :mod:`repro.quality.regress`, so "did this sha make skew
+worse?" has the same semantics as the bench watchdog.
 """
 
 from __future__ import annotations
@@ -45,10 +46,11 @@ __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "LedgerEntry",
     "LedgerLock",
+    "RUN_VIEW_SYNTHETIC",
     "RunLedger",
-    "diff_runs",
     "render_entries",
     "render_run",
+    "run_view",
 ]
 
 #: Bump when run.json / index.json layouts change incompatibly.  The
@@ -475,7 +477,7 @@ class RunLedger:
         (or its dict form).  The campaign id (``<sweep_id[:12]>-NN``)
         is minted under the index lock -- reruns of the same sweep spec
         coexist as separate campaign records, which is exactly what
-        ``repro sweep diff`` compares.  When *report* is the dataclass,
+        ``repro diff sweep`` compares.  When *report* is the dataclass,
         its ``campaign_id`` is filled in.
         """
         data = report.to_dict() if hasattr(report, "to_dict") else dict(report)
@@ -563,33 +565,21 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # cross-run diffing
 # ----------------------------------------------------------------------
-def _bench_view(run: dict) -> dict:
-    """Project a run record onto the bench-record shape regress diffs."""
+#: The metric :func:`run_view` adds to every run: sharing it alone is
+#: no evidence that two runs were comparable.
+RUN_VIEW_SYNTHETIC = ("duration",)
+
+
+def run_view(run: dict) -> dict:
+    """Project a run record onto the bench-record shape regress diffs.
+
+    The run's metrics plus its wall ``duration``; metric direction is
+    then inferred from the name as for any bench record.
+    """
     view = dict(run.get("metrics") or {})
     view["duration"] = float(run.get("duration", 0.0))
     view["meta"] = dict(run.get("meta") or {})
     return view
-
-
-def diff_runs(baseline: dict, candidate: dict,
-              threshold: float = 0.25, mad_k: float = 3.0):
-    """Compare two run records' metric dicts.
-
-    Returns a :class:`repro.quality.regress.BenchDiff`: metric direction
-    is inferred from the name exactly as ``repro bench diff`` does
-    (``*_seconds``/``duration`` lower-is-better, ``*speedup``/
-    ``*hit_rate`` higher-is-better, everything else informational), and
-    ``.passed`` is False when any directed metric moved the wrong way by
-    more than the gate.
-    """
-    from repro.quality.regress import diff_benches
-
-    diff = diff_benches([_bench_view(baseline)], _bench_view(candidate),
-                        threshold=threshold, mad_k=mad_k)
-    # The bench view always injects wall-clock "duration", so it alone
-    # must not count as "we compared something".
-    diff.synthetic = ["duration"]
-    return diff
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Execute scenarios: content-addressed run keys, skip-if-done, ledger.
 
 ``run_scenario`` is the one code path every experiment invocation takes
--- ``repro run <scenario>``, the eight legacy experiment commands
-(``repro fig1``, ``skew``, ``crosstalk``, ...), and tests all land
-here.  The flow:
+-- ``repro run <scenario>``, each point of ``repro sweep run``, and
+tests all land here.  The flow:
 
 1. canonicalize params (``spec.canonical_params``) so spelling variants
    of the same request collapse;
@@ -122,9 +121,9 @@ def run_scenario(
     *ledger* defaults to :func:`default_ledger_root`.  With *force*
     False, a completed ledger run of the identical request is replayed
     without executing anything.  *command* labels the telemetry session
-    (defaults to ``repro run <name>``); *telemetry_path* additionally
-    saves the RunReport JSON there, mirroring ``--telemetry`` on the
-    legacy commands.
+    (defaults to ``repro run <name>``; sweeps label each point);
+    *telemetry_path* additionally saves the RunReport JSON there
+    (``repro run --telemetry``).
     """
     from repro.quality.regress import run_metadata
     from repro.telemetry import telemetry_session

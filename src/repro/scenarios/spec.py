@@ -5,7 +5,7 @@ executes: a stable name, the paper-figure group it reproduces, a dict of
 **typed default parameters** (UPPERCASE names, overridable from the CLI
 as ``--PARAM=value`` in the pycomex style), and a ``run(params,
 session)`` callable returning a flat-ish dict of metrics.  The metrics
-dict is what lands in the run ledger and what ``repro runs diff``
+dict is what lands in the run ledger and what ``repro diff run``
 compares across runs, so values must be JSON-serializable scalars (or
 nested dicts of them).
 
@@ -116,7 +116,7 @@ class Scenario:
     #: attaching simulation/coverage sections to the run report.
     run: Callable[[Dict[str, object], object], Dict[str, object]] = None  # type: ignore[assignment]
     #: Optional ``render(metrics) -> str`` producing the human-readable
-    #: console output (the legacy CLI aliases reuse it verbatim).
+    #: console output (``repro run`` prints it verbatim).
     render: Optional[Callable[[Dict[str, object]], str]] = None
 
     def params_with(self, overrides: Optional[Mapping[str, object]] = None

@@ -1,10 +1,9 @@
 """Shared test fixtures.
 
 Every test gets a throwaway run ledger: the scenario-routed CLI
-commands (``repro run`` and the eight experiment aliases such as
-``fig1`` and ``crosstalk``) record provenance into ``$REPRO_LEDGER``,
-and without this fixture they would write ``.repro/runs`` into the
-working tree.
+commands (``repro run`` and ``repro sweep run``) record provenance into
+``$REPRO_LEDGER``, and without this fixture they would write
+``.repro/runs`` into the working tree.
 """
 
 import pytest

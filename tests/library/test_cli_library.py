@@ -31,8 +31,15 @@ class TestParsing:
             assert callable(args.func)
 
     def test_skew_accepts_library(self):
-        args = build_parser().parse_args(["skew", "--library", "kit"])
-        assert args.library == "kit"
+        """``repro run htree-skew --LIBRARY=DIR`` names the kit to read."""
+        from repro.cli import _extract_param_overrides
+        from repro.scenarios import get_scenario
+
+        overrides, rest = _extract_param_overrides(
+            ["run", "htree-skew", "--LIBRARY=kit"])
+        assert build_parser().parse_args(rest).scenario == "htree-skew"
+        params = get_scenario("htree-skew").params_with(overrides)
+        assert params["LIBRARY"] == "kit"
 
 
 class TestExecution:

@@ -1,4 +1,4 @@
-"""The quality CLI surface: build --audit, library audit, bench diff."""
+"""The quality CLI surface: build --audit, library audit, diff bench."""
 
 import json
 
@@ -26,7 +26,7 @@ class TestParsing:
         for argv in (
             ["library", "build", "--root", "kit", "--audit"],
             ["library", "audit", "--root", "kit"],
-            ["bench", "diff", "old.json", "new.json"],
+            ["diff", "bench", "old.json", "new.json"],
         ):
             args = parser.parse_args(argv)
             assert callable(args.func)
@@ -46,13 +46,13 @@ class TestBenchDiffCLI:
     def test_identical_records_pass(self, tmp_path, capsys):
         old = _bench_record(tmp_path / "old.json", 1.0)
         new = _bench_record(tmp_path / "new.json", 1.0)
-        assert main(["bench", "diff", str(old), str(new)]) == 0
+        assert main(["diff", "bench", str(old), str(new)]) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_thirty_percent_slowdown_exits_nonzero(self, tmp_path, capsys):
         old = _bench_record(tmp_path / "old.json", 1.0)
         new = _bench_record(tmp_path / "new.json", 1.3)
-        assert main(["bench", "diff", str(old), str(new)]) == 1
+        assert main(["diff", "bench", str(old), str(new)]) == 1
         out = capsys.readouterr().out
         assert "REGRESSED" in out and "FAIL" in out
 
@@ -60,20 +60,44 @@ class TestBenchDiffCLI:
         a = _bench_record(tmp_path / "a.json", 1.0)
         b = _bench_record(tmp_path / "b.json", 1.05)
         new = _bench_record(tmp_path / "new.json", 1.02)
-        assert main(["bench", "diff", str(a), str(b), str(new)]) == 0
+        assert main(["diff", "bench", str(a), str(b), str(new)]) == 0
         assert "2 baseline(s)" in capsys.readouterr().out
 
     def test_threshold_override(self, tmp_path, capsys):
         old = _bench_record(tmp_path / "old.json", 1.0)
         new = _bench_record(tmp_path / "new.json", 1.5)
-        assert main(["bench", "diff", str(old), str(new),
+        assert main(["diff", "bench", str(old), str(new),
                      "--threshold", "1.0"]) == 0
         capsys.readouterr()
 
     def test_single_file_is_usage_error(self, tmp_path, capsys):
         only = _bench_record(tmp_path / "only.json", 1.0)
-        assert main(["bench", "diff", str(only)]) == 2
-        capsys.readouterr()
+        assert main(["diff", "bench", str(only)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: diff bench needs at least two operands")
+
+    def test_missing_record_is_usage_error(self, tmp_path, capsys):
+        new = _bench_record(tmp_path / "new.json", 1.0)
+        assert main(["diff", "bench", str(tmp_path / "missing.json"),
+                     str(new)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unreadable bench record")
+
+    def test_non_object_record_is_usage_error(self, tmp_path, capsys):
+        old = _bench_record(tmp_path / "old.json", 1.0)
+        new = tmp_path / "list.json"
+        new.write_text("[1]")
+        assert main(["diff", "bench", str(old), str(new)]) == 2
+        assert "is not a JSON object" in capsys.readouterr().err
+
+    def test_bad_threshold_is_usage_error(self, tmp_path, capsys):
+        old = _bench_record(tmp_path / "old.json", 1.0)
+        assert main(["diff", "bench", str(old), str(old),
+                     "--threshold", "0"]) == 2
+        assert "threshold must be > 0" in capsys.readouterr().err
 
 
 class TestAuditedBuildAndLibraryAudit:

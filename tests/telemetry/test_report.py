@@ -282,25 +282,27 @@ class TestCli:
         self, tmp_path, capsys
     ):
         out = tmp_path / "fig1.json"
-        assert main(["fig1", "--telemetry", str(out)]) == 0
+        assert main(["run", "fig1-delay", "--force",
+                     "--telemetry", str(out)]) == 0
         assert out.exists()
         report = load_report(out)
-        assert report.command == "repro fig1"
+        assert report.command == "repro run fig1-delay"
         assert report.meta.get("exit_code") == 0
         assert report.metrics.counter("loop_solve") > 0
         capsys.readouterr()
 
         assert main(["report", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "telemetry report: repro fig1" in text
+        assert "telemetry report: repro run fig1-delay" in text
         assert "loop_solve" in text
 
     def test_report_spans_jsonl_mode(self, tmp_path, capsys):
         out = tmp_path / "fig1.json"
-        assert main(["fig1", "--telemetry", str(out)]) == 0
+        assert main(["run", "fig1-delay", "--force",
+                     "--telemetry", str(out)]) == 0
         capsys.readouterr()
         assert main(["report", str(out), "--spans-jsonl"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         records = [json.loads(line) for line in lines]
-        assert records[0]["name"] == "repro fig1"
+        assert records[0]["name"] == "repro run fig1-delay"
         assert any(r["depth"] > 0 for r in records)

@@ -2,11 +2,26 @@
 
 import pytest
 
-from repro.cli import ALIASES, build_parser, main
+from repro.cli import build_parser, main
+
+#: The retired experiment commands: each named one scenario, and its
+#: flags set these scenario parameters.  ``repro run SCENARIO
+#: --PARAM=value`` is the one spelling now.
+_RETIRED_ALIASES = {
+    "fig1": ("fig1-delay", ("DRIVE_RESISTANCE",)),
+    "fig5": ("fig5-foundations", ("N_TRACES",)),
+    "table1": ("table1-cascading", ()),
+    "scaling": ("length-scaling", ()),
+    "skew": ("htree-skew", ("LIBRARY",)),
+    "variation": ("process-variation", ()),
+    "accuracy": ("table-accuracy", ()),
+    "crosstalk": ("bus-crosstalk", ("N_TRACES", "WIDTH", "SPACING", "LENGTH",
+                                    "THICKNESS", "HEIGHT_BELOW", "FREQUENCY")),
+}
 
 
 def _completed_run(scenario):
-    """The one ledger run an alias recorded for *scenario*."""
+    """The one ledger run ``repro run`` recorded for *scenario*."""
     from repro.scenarios import RunLedger, default_ledger_root
 
     ledger = RunLedger(default_ledger_root(), create=False)
@@ -21,29 +36,36 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_known_commands(self):
-        parser = build_parser()
-        assert [alias.command for alias in ALIASES] == [
-            "fig1", "fig5", "table1", "scaling", "skew",
-            "variation", "accuracy", "crosstalk"]
-        for alias in ALIASES:
-            args = parser.parse_args([alias.command])
-            assert callable(args.func)
-            assert args.alias is alias
+        assert ("{run,runs,sweep,diff,spice,characterize,library,bench,"
+                "report,serve,lint}") in build_parser().format_usage()
 
-    @pytest.mark.parametrize("alias", ALIASES, ids=lambda a: a.command)
-    def test_alias_flags_map_to_scenario_params(self, alias):
+    @pytest.mark.parametrize("alias", sorted(_RETIRED_ALIASES))
+    def test_alias_flags_map_to_scenario_params(self, alias, capsys):
+        """A retired command no longer parses; its flags are params."""
         from repro.scenarios import get_scenario
 
-        scenario = get_scenario(alias.scenario)  # raises when unregistered
-        for option, param, _scale, _help in alias.flags:
-            assert param in scenario.defaults, (option, param)
-        # unset flags pass nothing: the scenario defaults apply
-        args = build_parser().parse_args([alias.command])
-        assert alias.overrides(args) == {}
+        scenario, params = _RETIRED_ALIASES[alias]
+        defaults = get_scenario(scenario).defaults  # raises when unknown
+        for param in params:
+            assert param in defaults, param
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([alias])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{alias}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["bench", "diff"], ["runs", "diff"],
+                                      ["sweep", "diff"]],
+                             ids=" ".join)
+    def test_retired_diff_commands_do_not_parse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["a", "b"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'diff'" in capsys.readouterr().err
 
     def test_skew_has_no_solver_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["skew", "--solver", "dense"])
+            build_parser().parse_args(
+                ["run", "htree-skew", "--solver", "dense"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --solver" in capsys.readouterr().err
 
@@ -60,70 +82,70 @@ class TestParser:
 
 class TestExecution:
     def test_scaling_runs(self, capsys):
-        assert main(["scaling"]) == 0
+        assert main(["run", "length-scaling", "--force"]) == 0
         out = capsys.readouterr().out
         assert "2.2" in out or "2.3" in out
         assert "Super-linear" in out
         _completed_run("length-scaling")
 
     def test_table1_runs(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["run", "table1-cascading", "--force"]) == 0
         out = capsys.readouterr().out
         assert "fig6a" in out
         assert "fig6b" in out
         _completed_run("table1-cascading")
 
     def test_fig5_runs(self, capsys):
-        assert main(["fig5", "--traces", "3"]) == 0
+        assert main(["run", "fig5-foundations", "--force",
+                     "--N_TRACES=3"]) == 0
         out = capsys.readouterr().out
         assert "Foundation 1" in out
         assert "Foundation 2" in out
         assert _completed_run("fig5-foundations")["params"]["N_TRACES"] == 3
 
     def test_accuracy_runs(self, capsys):
-        assert main(["accuracy"]) == 0
+        assert main(["run", "table-accuracy", "--force"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "characterization time" in out
         _completed_run("table-accuracy")
 
     def test_variation_runs(self, capsys):
-        assert main(["variation"]) == 0
+        assert main(["run", "process-variation", "--force"]) == 0
         out = capsys.readouterr().out
         assert "L spread" in out or "L is" in out
         _completed_run("process-variation")
 
     def test_crosstalk_runs(self, capsys):
-        assert main(["crosstalk", "--traces", "5", "--length", "800"]) == 0
+        assert main(["run", "bus-crosstalk", "--force", "--N_TRACES=5",
+                     "--LENGTH=8e-4"]) == 0
         out = capsys.readouterr().out
         assert "aggressor T3" in out
         assert "mV" in out
         params = _completed_run("bus-crosstalk")["params"]
         assert params["N_TRACES"] == 5
-        assert params["LENGTH"] == 8e-4  # --length is in um
+        assert params["LENGTH"] == 8e-4
         assert params["WIDTH"] == 2e-6  # unset: the scenario default
 
-    def test_alias_bad_library_is_usage_error(self, tmp_path, capsys):
-        assert main(["skew", "--library", str(tmp_path / "no-kit")]) == 2
+    def test_run_bad_library_is_usage_error(self, tmp_path, capsys):
+        assert main(["run", "htree-skew", "--force",
+                     f"--LIBRARY={tmp_path / 'no-kit'}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "build one with `repro library build --root DIR`" in err
 
-    def test_alias_failed_run_exits_1(self, monkeypatch, capsys):
-        from repro import cli
+    def test_run_failed_run_exits_1(self, capsys):
         from repro.scenarios import Scenario, register, unregister
 
         def boom(params, session):
             raise RuntimeError("injected failure")
 
-        register(Scenario(name="test-alias-boom", figure="test",
+        register(Scenario(name="test-run-boom", figure="test",
                           description="t", run=boom))
-        monkeypatch.setattr(cli, "ALIASES", cli.ALIASES + (
-            cli.Alias("boom", "test-alias-boom", "always fails"),))
         try:
-            assert main(["boom"]) == 1
+            assert main(["run", "test-run-boom"]) == 1
         finally:
-            unregister("test-alias-boom")
+            unregister("test-run-boom")
         err = capsys.readouterr().err
         assert err.startswith("FAILED: ")
         assert "injected failure" in err
@@ -230,7 +252,8 @@ class TestSimulationTelemetry:
         from repro.telemetry import load_report
 
         out = tmp_path / "skew.json"
-        assert main(["skew", "--telemetry", str(out)]) == 0
+        assert main(["run", "htree-skew", "--force",
+                     "--telemetry", str(out)]) == 0
         capsys.readouterr()
         report = load_report(out)
         assert report.to_dict()["schema_version"] == 5
@@ -248,7 +271,8 @@ class TestSimulationTelemetry:
         import json
 
         out = tmp_path / "skew.json"
-        assert main(["skew", "--telemetry", str(out)]) == 0
+        assert main(["run", "htree-skew", "--force",
+                     "--telemetry", str(out)]) == 0
         trace_path = tmp_path / "trace.json"
         capsys.readouterr()
         assert main(["report", str(out),
@@ -259,7 +283,7 @@ class TestSimulationTelemetry:
         names = {e["name"] for e in events if e.get("ph") == "X"}
         assert "circuit.transient" in names
         assert any(n.startswith("htree.") for n in names)
-        assert trace["otherData"]["command"] == "repro skew"
+        assert trace["otherData"]["command"] == "repro run htree-skew"
 
 
 class TestServeCLI:
@@ -415,7 +439,7 @@ class TestRunCLI:
             run_scenario("htree-skew", {"SOLVER": "dense"})
 
     def test_param_override_rejected_outside_run(self, capsys):
-        assert main(["fig1", "--SECTIONS=4"]) == 2
+        assert main(["lint", "deck.sp", "--SECTIONS=4"]) == 2
         assert "only valid with" in capsys.readouterr().err
 
     def test_runs_list_show_diff_roundtrip(self, tmp_path, capsys):
@@ -429,7 +453,7 @@ class TestRunCLI:
         assert main(["runs", "show", "fig1-delay", "--ledger", ledger]) == 0
         out = capsys.readouterr().out
         assert "SECTIONS" in out and "delay_ratio" in out
-        assert main(["runs", "diff", "fig1-delay", "fig1-delay",
+        assert main(["diff", "run", "fig1-delay", "fig1-delay",
                      "--ledger", ledger]) == 0
         assert "verdict: PASS" in capsys.readouterr().out
 
@@ -450,24 +474,9 @@ class TestRunCLI:
                      str(tmp_path / "absent")]) == 2
         assert "no run ledger" in capsys.readouterr().err
 
-    def test_alias_records_provenance_run(self, tmp_path, monkeypatch,
-                                          capsys):
-        from repro.scenarios import RunLedger
-
-        root = tmp_path / "alias-ledger"
-        monkeypatch.setenv("REPRO_LEDGER", str(root))
-        assert main(["fig1"]) == 0
-        entries = RunLedger(root).entries(scenario="fig1-delay")
-        assert len(entries) == 1
-        assert entries[0].status == "completed"
-        # aliases always execute -- no skip message even when repeated
-        capsys.readouterr()
-        assert main(["fig1"]) == 0
-        assert "ledger hit" not in capsys.readouterr().out
-        assert len(RunLedger(root).entries(scenario="fig1-delay")) == 2
 
 class TestSweepCLI:
-    """`repro sweep run|status|report|diff` + the runs --json satellite."""
+    """`repro sweep run|status|report`, `repro diff` and `runs --json`."""
 
     @pytest.fixture
     def toy(self):
@@ -512,7 +521,7 @@ class TestSweepCLI:
                      "--ledger", ledger]) == 0
         out = capsys.readouterr().out
         assert "per-axis" in out and "X=1" in out
-        assert main(["sweep", "diff", first["campaign_id"],
+        assert main(["diff", "sweep", first["campaign_id"],
                      second["campaign_id"], "--ledger", ledger]) == 0
         assert "verdict: PASS" in capsys.readouterr().out
 
@@ -623,7 +632,7 @@ class TestSweepCLI:
             assert main(["run", "test-cli-a", "--ledger", ledger]) == 0
             assert main(["run", "test-cli-b", "--ledger", ledger]) == 0
             capsys.readouterr()
-            assert main(["runs", "diff", "test-cli-a", "test-cli-b",
+            assert main(["diff", "run", "test-cli-a", "test-cli-b",
                          "--ledger", ledger]) == 3
             out = capsys.readouterr().out
             assert "NOTHING COMPARED" in out
@@ -639,5 +648,30 @@ class TestSweepCLI:
         new = tmp_path / "new.json"
         old.write_text(json.dumps({"a": {"x_seconds": 1.0}}))
         new.write_text(json.dumps({"b": {"y_seconds": 1.0}}))
-        assert main(["bench", "diff", str(old), str(new)]) == 3
+        assert main(["diff", "bench", str(old), str(new)]) == 3
         assert "NOTHING COMPARED" in capsys.readouterr().out
+
+    def test_diff_run_gates_candidate_against_history(self, toy, tmp_path,
+                                                      capsys):
+        import json
+        import re
+
+        ledger = str(tmp_path / "ledger")
+        run_ids = []
+        for x in ("1.0", "1.1", "3.0"):
+            assert main(["run", "test-cli-sweep", f"--X={x}",
+                         "--ledger", ledger, "--json"]) == 0
+            run_ids.append(json.loads(capsys.readouterr().out)["run_id"])
+        assert main(["diff", "run", *run_ids, "--ledger", ledger]) == 1
+        out = capsys.readouterr().out
+        assert out.count("baseline  ") == 2
+        assert "candidate vs 2 baseline(s)" in out
+        # the gate is the median of the history (2.0, 2.2), not one run
+        assert re.search(r"delay_seconds v +2\.1 -> +6 .*REGRESSED", out)
+
+    def test_diff_sweep_unknown_selector_is_usage_error(self, tmp_path,
+                                                        capsys):
+        ledger = tmp_path / "absent"
+        assert main(["diff", "sweep", "a", "b",
+                     "--ledger", str(ledger)]) == 2
+        assert capsys.readouterr().err.startswith("error: no run ledger")

@@ -6,22 +6,30 @@ import time
 import pytest
 
 from repro.errors import ScenarioError, ScenarioRunError
+from repro.quality import diff_benches
 from repro.scenarios import (
+    RUN_VIEW_SYNTHETIC,
     RunLedger,
     Scenario,
     all_scenarios,
     canonical_params,
     coerce_param,
     compute_run_key,
-    diff_runs,
     get_scenario,
     register,
     render_entries,
     render_run,
     run_scenario,
+    run_view,
     scenario_names,
     unregister,
 )
+
+
+def _diff(baseline, candidate):
+    """The ``repro diff run`` gate on two run records."""
+    return diff_benches([run_view(baseline)], run_view(candidate),
+                        synthetic=RUN_VIEW_SYNTHETIC)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +148,7 @@ class TestLedgerRoundTrip:
         text = render_run(run)
         assert o1.run_id in text and "KNOB" in text and "answer" in text
 
-        diff = diff_runs(run, ledger.load_run(o2.run_id))
+        diff = _diff(run, ledger.load_run(o2.run_id))
         assert diff.passed  # informational metrics never gate
 
     def test_diff_flags_duration_regression(self, ledger, counting_scenario):
@@ -148,8 +156,8 @@ class TestLedgerRoundTrip:
         run1 = ledger.load_run(o1.run_id)
         run2 = json.loads(json.dumps(run1))
         run2["metrics"]["duration_seconds"] = 5.0  # 10x worse, lower-better
-        assert not diff_runs(run1, run2).passed
-        assert diff_runs(run2, run1).passed  # got faster: fine
+        assert not _diff(run1, run2).passed
+        assert _diff(run2, run1).passed  # got faster: fine
 
     def test_report_and_logs_captured(self, ledger, counting_scenario):
         from repro.telemetry.logs import get_logger

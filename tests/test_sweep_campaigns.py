@@ -10,13 +10,15 @@ import time
 import pytest
 
 from repro.errors import ScenarioError, WorkerLostError
+from repro.quality import diff_benches
 from repro.scenarios import (
+    CAMPAIGN_VIEW_SYNTHETIC,
     CampaignReport,
     MonteCarloAxis,
     RunLedger,
     Scenario,
     SweepSpec,
-    diff_campaigns,
+    campaign_view,
     get_scenario,
     register,
     render_campaign,
@@ -27,6 +29,12 @@ from repro.scenarios import (
 from repro.telemetry.registry import get_registry
 
 _FORK = multiprocessing.get_start_method(allow_none=False) == "fork"
+
+
+def _diff(baseline, candidate):
+    """The ``repro diff sweep`` gate on two campaigns."""
+    return diff_benches([campaign_view(baseline)], campaign_view(candidate),
+                        synthetic=CAMPAIGN_VIEW_SYNTHETIC)
 
 
 def _toy_run(params, session):
@@ -414,7 +422,7 @@ class TestCampaignReport:
     def test_diff_identical_campaigns_passes(self, toy_scenario, ledger):
         a = self._report(toy_scenario, ledger)
         b = self._report(toy_scenario, ledger)  # ledger replay
-        diff = diff_campaigns(a, b)
+        diff = _diff(a, b)
         assert diff.passed
         assert not diff.nothing_compared
 
@@ -422,7 +430,7 @@ class TestCampaignReport:
                                                      ledger):
         a = self._report(toy_scenario, ledger, grid={"X": [1.0]})
         b = self._report(toy_scenario, ledger, grid={"X": [9.0]})
-        diff = diff_campaigns(a, b)
+        diff = _diff(a, b)
         assert diff.nothing_compared
         assert "NOTHING COMPARED" in diff.render()
 
